@@ -46,7 +46,7 @@ def test_incremental_update(benchmark, spark, base, batch):
     dele_df = spark.createDataFrame(dele).localCheckpoint(eager=True)
 
     def update():
-        _, stats = apply_batch(st, ins_df, dele_df, compute_stats=False)
+        _, stats = apply_batch(st, ins_df, dele_df)
         return stats
 
     stats = benchmark.pedantic(update, rounds=1, iterations=1)

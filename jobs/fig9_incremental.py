@@ -57,7 +57,7 @@ def run(
         ins_df = spark.createDataFrame(ins).localCheckpoint(eager=True)
         dele_df = spark.createDataFrame(dele).localCheckpoint(eager=True)
         t0 = time.time()
-        _, stats = apply_batch(st, ins_df, dele_df, compute_stats=False)
+        _, stats = apply_batch(st, ins_df, dele_df)
         inc_s = time.time() - t0
         _, ref_stats = ref_apply_batch(ref_st, ins, dele)
         pc = cx.p_c(len(dele), len(ins), n_edges)

@@ -18,13 +18,14 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+MAX_ROUNDS = 64
+
 
 def connected_components(
     edges: DataFrame,
     weight_col: str | None = None,
     threshold: float | None = None,
     vertices: DataFrame | None = None,
-    max_rounds: int = 64,
 ) -> DataFrame:
     """Components of the (optionally weight-filtered) undirected graph.
 
@@ -45,7 +46,7 @@ def connected_components(
     labels = ids.select("id", F.col("id").alias("comp")).localCheckpoint(
         eager=True
     )
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         nbr_min = (
             sym.join(labels, sym["dst"] == labels["id"], "inner")
             .groupBy(sym["src"].alias("id"))

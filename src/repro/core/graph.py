@@ -38,19 +38,21 @@ def edges_from_pairs(
 
 def canonical_edges(edges: DataFrame) -> DataFrame:
     """Drop self-loops and duplicates; orient every edge ``src < dst``."""
+    return _oriented(edges).distinct()
+
+
+def _oriented(edges: DataFrame) -> DataFrame:
     lo = F.least("src", "dst").alias("src")
     hi = F.greatest("src", "dst").alias("dst")
-    return (
-        edges.select(lo, hi)
-        .where(F.col("src") != F.col("dst"))
-        .distinct()
-    )
+    return edges.select(lo, hi).where(F.col("src") != F.col("dst"))
 
 
 def symmetrize(edges: DataFrame) -> DataFrame:
-    """Both directions of each canonical edge: columns ``id``, ``nbr``."""
-    fwd = edges.select(F.col("src").alias("id"), F.col("dst").alias("nbr"))
-    rev = edges.select(F.col("dst").alias("id"), F.col("src").alias("nbr"))
+    """Both directions of each canonical edge: columns ``id``, ``nbr`` and
+    any other columns of ``edges``."""
+    rest = [c for c in edges.columns if c not in ("src", "dst")]
+    fwd = edges.select(F.col("src").alias("id"), F.col("dst").alias("nbr"), *rest)
+    rev = edges.select(F.col("dst").alias("id"), F.col("src").alias("nbr"), *rest)
     return fwd.unionByName(rev)
 
 
@@ -73,6 +75,25 @@ def vertices(edges: DataFrame) -> DataFrame:
     return symmetrize(edges).select("id").distinct()
 
 
+def _batch(
+    edges: DataFrame, inserts: DataFrame | None, deletes: DataFrame | None
+) -> DataFrame:
+    """The distinct canonical edges one batch names, with ``present`` true iff
+    the edge is inserted and not deleted (deletes apply after inserts)."""
+    none = edges.where(F.lit(False))
+    ins, dele = (
+        _oriented(none if e is None else e).withColumn("present", F.lit(p))
+        for e, p in ((inserts, True), (deletes, False))
+    )
+    # A batch is small: one partition groups it without a shuffle.
+    return (
+        ins.unionByName(dele)
+        .coalesce(1)
+        .groupBy("src", "dst")
+        .agg(F.min("present").alias("present"))
+    )
+
+
 def apply_edits(
     edges: DataFrame, inserts: DataFrame | None, deletes: DataFrame | None
 ) -> DataFrame:
@@ -81,9 +102,24 @@ def apply_edits(
     Deletes are applied after inserts (an edge both inserted and deleted in
     the same batch ends up absent, matching set semantics of one batch).
     """
-    out = edges
-    if inserts is not None:
-        out = out.unionByName(canonical_edges(inserts)).distinct()
-    if deletes is not None:
-        out = out.join(canonical_edges(deletes), on=["src", "dst"], how="left_anti")
-    return out
+    batch = _batch(edges, inserts, deletes)
+    return edges.join(F.broadcast(batch), ["src", "dst"], "left_anti").unionByName(
+        batch.where("present").select("src", "dst")
+    )
+
+
+def edit_diff(
+    edges: DataFrame, inserts: DataFrame | None, deletes: DataFrame | None
+) -> DataFrame:
+    """The canonical edges a batch really adds (``added``) or removes (not
+    ``added``): columns ``src``, ``dst``, ``added``. Edits that change
+    nothing, such as inserting a present edge, do not appear."""
+    batch = _batch(edges, inserts, deletes)
+    old = edges.join(F.broadcast(batch), ["src", "dst"], "left_semi")
+    return (
+        batch.join(
+            F.broadcast(old.withColumn("old", F.lit(True))), ["src", "dst"], "left"
+        )
+        .where(F.col("present") != F.coalesce("old", F.lit(False)))
+        .select("src", "dst", F.col("present").alias("added"))
+    )

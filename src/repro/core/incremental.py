@@ -1,14 +1,21 @@
 """Incremental updating after an edge-edit batch (paper Section IV, Alg. 2).
 
-Dataflow note: the frontier, delta, and affected-vertex frames are small
-relative to the label/choice tables, so every join against a big table
-broadcasts the small side explicitly (``F.broadcast``). This is the
-DataFrame equivalent of the paper's point that Correction Propagation sends
-*small messages to receivers* rather than reshuffling global state — and it
-is what makes the incremental path cheaper than from-scratch resolution
-(whose pointer-doubling self-joins are inherently big-big shuffles). The
-session-level broadcast-join ban from conftest stays in force for
-everything else.
+Every per-batch frame is built from the batch itself, never by comparing the
+old and new big tables: the **edge diff** (the canonical edges the batch
+really adds or removes, ``repro.core.graph.edit_diff``), one **vertex frame**
+with the old and new neighbor arrays of the diff's endpoints (the affected
+vertices), the **decision frame** of their (vertex, iteration) rows, one
+**message frontier** per correction round, and the **label overlay** built
+once after the last round. η is one aggregate over the overlay.
+
+Dataflow note: these frames are small relative to the label/choice tables,
+so every join against a big table broadcasts the small side explicitly
+(``F.broadcast``). This is the DataFrame equivalent of the paper's point
+that Correction Propagation sends *small messages to receivers* rather than
+reshuffling global state — and it is what makes the incremental path
+cheaper than from-scratch resolution (whose pointer-doubling self-joins are
+inherently big-big shuffles). The session-level broadcast-join ban from
+``repro.spark_session`` stays in force for everything else.
 
 Two phases, exactly as the paper structures them:
 
@@ -49,7 +56,8 @@ asserted bit-for-bit in tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import List
 
 from pyspark.sql import DataFrame
@@ -70,68 +78,75 @@ class UpdateStats:
     n_affected_vertices: int
     n_repicked: int  # rows re-picked in phase 1 (|F0|)
     n_value_changed: int  # rows whose final label differs from the old one
-    eta: int  # |F0 ∪ value-changed| — the paper's η (-1 if stats skipped)
+    eta: int  # |F0 ∪ value-changed| — the paper's η
     rounds: int  # correction-propagation message rounds until quiescence
     round_deltas: List[int] = field(default_factory=list)  # messages/round
 
 
 def apply_batch(
-    state: RslpaState,
-    inserts: DataFrame | None,
-    deletes: DataFrame | None,
-    materialize: bool = False,
-    compute_stats: bool = True,
+    state: RslpaState, inserts: DataFrame | None, deletes: DataFrame | None
 ) -> tuple[RslpaState, UpdateStats]:
     """Evolve ``state`` under one batch of edge inserts/deletes.
 
-    ``materialize=True`` checkpoints the updated label/choice tables (an
-    O(T·|V|) rewrite) — useful before a long run of subsequent batches to
-    cap lineage depth; by default the new state is a lazy overlay over the
-    previous checkpointed state. ``compute_stats=False`` skips the η
-    accounting joins (pure timing runs; η then reads -1).
+    The new edge and adjacency tables are checkpointed; the new choice and
+    label tables are lazy overlays over the previous state's.
     """
     n_iters, seed = state.n_iters, state.seed
     epoch = state.epoch + 1
 
-    new_edges = G.apply_edits(state.edges, inserts, deletes).localCheckpoint(
-        eager=True
+    diff = G.edit_diff(state.edges, inserts, deletes).localCheckpoint(eager=True)
+    m_a, m_d = diff.agg(
+        F.count_if("added"), F.count_if(~F.col("added"))
+    ).first()
+    if m_a + m_d == 0:
+        return state, UpdateStats(0, 0, 0, 0, 0, 0, 0)
+    new_edges = (
+        G.apply_edits(state.edges, inserts, deletes)
+        .coalesce(16)
+        .localCheckpoint(eager=True)
     )
-    removed_e = state.edges.join(
-        new_edges, ["src", "dst"], "left_anti"
-    ).localCheckpoint(eager=True)
-    added_e = new_edges.join(
-        state.edges, ["src", "dst"], "left_anti"
-    ).localCheckpoint(eager=True)
-    m_d, m_a = removed_e.count(), added_e.count()
-    affected = (
-        G.vertices(removed_e)
-        .unionByName(G.vertices(added_e))
-        .distinct()
+
+    # The affected vertices are the diff's endpoints. A null ``old_nbrs``
+    # marks a new vertex, a null ``new_nbrs`` one that dropped to degree 0.
+    ends = G.symmetrize(diff)
+    old = state.adjacency.join(F.broadcast(ends.select("id")), "id", "left_semi")
+    new_nbrs = F.array_sort(
+        F.array_union(
+            F.array_except(
+                F.coalesce("old_nbrs", F.array().cast("array<long>")), "lost"
+            ),
+            "gained",
+        )
+    )
+    vert = (
+        ends.unionByName(old, allowMissingColumns=True)
+        .groupBy("id")
+        .agg(
+            F.first("nbrs", ignorenulls=True).alias("old_nbrs"),
+            F.collect_list(F.when(F.col("added"), F.col("nbr"))).alias("gained"),
+            F.collect_list(F.when(~F.col("added"), F.col("nbr"))).alias("lost"),
+        )
+        .select(
+            "id", "old_nbrs", F.when(F.size(new_nbrs) > 0, new_nbrs).alias("new_nbrs")
+        )
         .coalesce(8)
         .localCheckpoint(eager=True)
     )
-    n_affected = affected.count()
-    if n_affected == 0:
-        stats = UpdateStats(m_a, m_d, 0, 0, 0, 0, 0)
-        return state, stats
-
-    new_adj = G.adjacency(new_edges).coalesce(16).localCheckpoint(eager=True)
+    n_affected = vert.count()
+    affected = vert.select("id")
+    new_adj = (
+        state.adjacency.join(F.broadcast(affected), "id", "left_anti")
+        .unionByName(
+            vert.where(F.col("new_nbrs").isNotNull()).select(
+                "id", F.col("new_nbrs").alias("nbrs")
+            )
+        )
+        .coalesce(16)
+        .localCheckpoint(eager=True)
+    )
 
     # --- Phase 1: classify & re-pick affected rows -------------------------
-    old_aff = (
-        state.adjacency.join(F.broadcast(affected), "id")
-        .select("id", F.col("nbrs").alias("old_nbrs"))
-        .coalesce(8)
-        .localCheckpoint(eager=True)
-    )
-    new_aff = (
-        new_adj.join(F.broadcast(affected), "id")
-        .select("id", F.col("nbrs").alias("new_nbrs"))
-        .coalesce(8)
-        .localCheckpoint(eager=True)
-    )
-    vert_info = new_aff.join(old_aff, "id", "full_outer")
-    grid = vert_info.where(F.col("new_nbrs").isNotNull()).select(
+    grid = vert.where(F.col("new_nbrs").isNotNull()).select(
         "id",
         "old_nbrs",
         "new_nbrs",
@@ -185,61 +200,37 @@ def apply_batch(
     # "only visit vertices close to the changed edges" at the storage level.
     unaffected = state.choices.join(F.broadcast(affected), "id", "left_anti")
     new_choices = unaffected.unionByName(dec.select("id", "t", "src", "pos"))
-    frontier = (
-        dec.where("changed")
-        .select("id", "t", "src", "pos")
-        .coalesce(8)
-        .localCheckpoint(eager=True)
-    )
-    n_repicked = frontier.count()
 
     # --- Phase 2: Correction Propagation ----------------------------------
-    # Inside the loop only *small* frames (the message frontier and the
-    # updates overlay) are materialized; each round pays one broadcast-
-    # lookup scan of the static choice table (the receiver fan-out) — the
-    # dataflow analogue of Algorithm 2's per-message cost. The big tables
-    # themselves are never rewritten unless ``materialize`` asks for it.
-    spark = new_adj.sparkSession
     # Lazy pre-update snapshot: old labels minus dropped vertices, plus
-    # anchor rows for brand-new vertices. Only vertices whose degree changed
-    # can join or leave the vertex set, and those are all in `affected`, so
-    # the deltas are small frames.
-    dropped = (
-        affected.join(new_aff.select("id"), "id", "left_anti")
-        .coalesce(8)
-        .localCheckpoint(eager=True)
-    )
-    new_vs = (
-        new_aff.select("id")
-        .join(old_aff.select("id"), "id", "left_anti")
-        .coalesce(8)
-        .localCheckpoint(eager=True)
-    )
-    new_vertex_rows = new_vs.select(
+    # anchor rows for new vertices (both sides of ``vert``).
+    new_vertex_rows = vert.where(F.col("old_nbrs").isNull()).select(
         "id",
         F.explode(F.sequence(F.lit(0), F.lit(n_iters))).alias("t"),
         F.col("id").alias("label"),
     )
     labels_init = state.labels.join(
-        F.broadcast(dropped), "id", "left_anti"
+        F.broadcast(vert.where(F.col("new_nbrs").isNull()).select("id")),
+        "id",
+        "left_anti",
     ).unionByName(new_vertex_rows)
     init_view = labels_init.select(
         F.col("id").alias("lid"), F.col("t").alias("lt"),
         F.col("label").alias("llabel"),
     )
-    updates = spark.createDataFrame([], "id long, t int, label long")
-    rounds = 0
-    round_deltas: List[int] = []
 
     # Round 0: re-picked rows fetch their new source label from the snapshot
-    # (the overlay is still empty — every other row holds its old value, and
-    # stale reads are repaired by the message cascade below, exactly as in
-    # Algorithm 2). From here on, messages CARRY the new label value: the
-    # receiver fan-out join delivers (receiver_id, receiver_t, new_value) in
-    # one pass, so a round needs no label lookups and no compare pass —
-    # receivers are simply re-notified whenever their source was rewritten,
-    # and the t-monotone receiver DAG bounds the cascade by the propagation
-    # tree depth (O(log T) expected, <= T worst case).
+    # (every other row still holds its old value, and stale reads are
+    # repaired by the message cascade below, exactly as in Algorithm 2). The
+    # source row always exists, so there is one message per re-picked row.
+    # From here on, messages CARRY the new label value: the receiver fan-out
+    # join delivers (receiver_id, receiver_t, new_value) in one pass, so a
+    # round needs no label lookups and no compare pass — receivers are simply
+    # re-notified whenever their source was rewritten, and the t-monotone
+    # receiver DAG bounds the cascade by the propagation tree depth
+    # (O(log T) expected, <= T worst case). Only the frontier is kept per
+    # round; the overlay is built once after the loop.
+    frontier = dec.where("changed")
     dirty = (
         F.broadcast(frontier)
         .join(
@@ -251,27 +242,18 @@ def apply_batch(
         .coalesce(8)
         .localCheckpoint(eager=True)
     )
-    n_dirty = dirty.count()
+    waves = [dirty.withColumn("round", F.lit(0))]
+    n_dirty = n_repicked = dirty.count()
+    round_deltas: List[int] = []
     while n_dirty > 0:
-        if rounds > n_iters + 1:
+        if len(round_deltas) > n_iters + 1:
             raise RuntimeError("correction propagation did not converge")
-        rounds += 1
         round_deltas.append(n_dirty)
-        # Latest write wins: newer rounds overwrite older overlay entries.
-        prev_updates = updates
-        updates = (
-            updates.join(F.broadcast(dirty), ["id", "t"], "left_anti")
-            .unionByName(dirty)
-            .coalesce(8)
-            .localCheckpoint(eager=True)
-        )
-        prev_updates.unpersist()
         sources = dirty.select(
             F.col("id").alias("sid"),
             F.col("t").alias("st"),
             F.col("label").alias("slabel"),
         )
-        prev_dirty = dirty
         dirty = (
             new_choices.join(
                 F.broadcast(sources),
@@ -282,58 +264,41 @@ def apply_batch(
             .coalesce(8)
             .localCheckpoint(eager=True)
         )
-        prev_dirty.unpersist()
+        waves.append(dirty.withColumn("round", F.lit(len(round_deltas))))
         n_dirty = dirty.count()
 
-    cur = (
-        labels_init.join(
-            F.broadcast(
-                updates.select(
-                    "id", "t", F.col("label").alias("new_label")
-                )
-            ),
-            ["id", "t"],
-            "left",
+    # Latest write wins; a row written in round 0 is a re-picked one.
+    overlay = (
+        reduce(DataFrame.unionByName, waves)
+        .groupBy("id", "t")
+        .agg(
+            F.max_by("label", "round").alias("new_label"),
+            (F.min("round") == 0).alias("repicked"),
         )
-        .select(
-            "id", "t", F.coalesce("new_label", "label").alias("label")
-        )
+        .coalesce(8)
+        .localCheckpoint(eager=True)
     )
-    if materialize:
-        cur = cur.localCheckpoint(eager=True)
-        new_choices = new_choices.localCheckpoint(eager=True)
-
-    if compute_stats:
-        # η accounting: final-vs-initial diff restricted to the overlay
-        # (only overlaid rows can differ), plus the re-picked frontier.
-        value_changed = (
-            F.broadcast(
-                updates.select("id", "t", F.col("label").alias("new_label"))
-            )
-            .join(labels_init, ["id", "t"])
-            .where(F.col("new_label") != F.col("label"))
-            .select("id", "t")
-            .coalesce(8)
-            .localCheckpoint(eager=True)
+    # η: only overlaid rows can differ from the snapshot, and every
+    # re-picked row is overlaid.
+    value_changed = F.col("new_label") != F.col("label")
+    n_value_changed, eta = (
+        labels_init.join(F.broadcast(overlay), ["id", "t"])
+        .agg(
+            F.count_if(value_changed),
+            F.count_if(value_changed | F.col("repicked")),
         )
-        n_value_changed = value_changed.count()
-        eta = (
-            frontier.select("id", "t")
-            .unionByName(value_changed)
-            .distinct()
-            .count()
-        )
-    else:
-        n_value_changed = -1
-        eta = -1
+        .first()
+    )
+    labels = labels_init.join(
+        F.broadcast(overlay.select("id", "t", "new_label")), ["id", "t"], "left"
+    ).select("id", "t", F.coalesce("new_label", "label").alias("label"))
 
-    new_state = RslpaState(
+    new_state = replace(
+        state,
         edges=new_edges,
         adjacency=new_adj,
         choices=new_choices,
-        labels=cur,
-        n_iters=n_iters,
-        seed=seed,
+        labels=labels,
         epoch=epoch,
     )
     stats = UpdateStats(
@@ -343,7 +308,7 @@ def apply_batch(
         n_repicked=n_repicked,
         n_value_changed=n_value_changed,
         eta=eta,
-        rounds=rounds,
+        rounds=len(round_deltas),
         round_deltas=round_deltas,
     )
     return new_state, stats

@@ -24,10 +24,10 @@ from pyspark.sql import functions as F
 
 from repro.core import choices as C
 
+MAX_ROUNDS = 64  # far above log2 of any feasible T
 
-def resolve_labels(
-    adjacency: DataFrame, choice_table: DataFrame, max_rounds: int = 64
-) -> DataFrame:
+
+def resolve_labels(adjacency: DataFrame, choice_table: DataFrame) -> DataFrame:
     """Resolve the full label table ``(id, t, label)`` for ``t ∈ [0..T]``.
 
     ``adjacency`` supplies the anchors (degree ≥ 1 vertices);
@@ -45,7 +45,7 @@ def resolve_labels(
         )
         .localCheckpoint(eager=True)
     )
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         pending = state.where(F.col("ct") > 0).limit(1).count()
         if pending == 0:
             break
@@ -68,6 +68,6 @@ def resolve_labels(
             .localCheckpoint(eager=True)
         )
         prev.unpersist()  # drop the superseded checkpoint's cached blocks
-    else:  # pragma: no cover - max_rounds is far above log2(any feasible T)
+    else:  # pragma: no cover
         raise RuntimeError("pointer doubling did not converge")
     return state.select("id", "t", F.col("cid").alias("label"))

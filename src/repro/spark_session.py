@@ -1,11 +1,10 @@
-"""Local SparkSession bootstrap for the ``jobs/`` entry points.
+"""Local SparkSession bootstrap for the ``jobs/`` entry points and the
+pytest session fixture in ``conftest.py``.
 
-pytest runs use the session fixture in ``conftest.py``; standalone jobs
-(``python jobs/<name>.py`` or ``spark-submit``) go through here so they get
-the same memory sizing (driver memory must be fixed before the JVM starts,
-hence the env-var dance) and the same session configs: shuffle partitions,
-Arrow, and broadcast joins disabled (explicit ``F.broadcast`` hints still
-apply where an algorithm calls for them).
+Both get the same memory sizing (driver memory must be fixed before the JVM
+starts, hence the env-var dance) and the same session configs: shuffle
+partitions, Arrow, and broadcast joins disabled (explicit ``F.broadcast``
+hints still apply where an algorithm calls for them).
 """
 from __future__ import annotations
 
@@ -13,7 +12,8 @@ import os
 
 
 def _driver_mem() -> str:
-    """~75% of the cgroup memory limit, else 16g (mirrors conftest.py)."""
+    """~75% of the cgroup memory limit, else 16g; the source is recorded in
+    ``_SPARK_DRIVER_MEM_SRC``."""
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
     for p in (
@@ -25,15 +25,17 @@ def _driver_mem() -> str:
             if not raw or raw == "max":
                 continue
             gib = int(raw) / (1 << 30)
-            if 1 <= gib <= 1024:
+            if 1 <= gib <= 1024:  # not v1's "unlimited" (~8.6e9 GiB)
+                os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
                 return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
     return "16g"
 
 
 def local_session(app_name: str):
-    """A local[*] session sized like the test fixture's."""
+    """A local session (``SPARK_MASTER``, default ``local[*]``)."""
     os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",

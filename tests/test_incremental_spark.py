@@ -8,7 +8,11 @@ import pytest
 from repro.core.incremental import apply_batch
 from repro.core.resolve import resolve_labels
 from repro.core.rslpa import run_static
-from repro.reference.incremental_ref import ref_apply_batch, ref_run_static
+from repro.reference.incremental_ref import (
+    apply_edits_pdf,
+    ref_apply_batch,
+    ref_run_static,
+)
 from repro.reference.rslpa_ref import labels_long
 from repro.webgraph.generator import edit_batch, web_graph
 
@@ -32,27 +36,75 @@ def base(spark):
     return st, pdf
 
 
+def _pairs(pairs):
+    return pd.DataFrame(pairs, columns=["src", "dst"], dtype="int64")
+
+
+def _bit_identical_cases(pdf):
+    """(name, batches) pairs; each batch is an ``(inserts, deletes)`` pair of
+    pandas frames or None, and the batches of one case are chained."""
+    rst = ref_run_static(pdf, T_ITERS, SEED)
+    edges = rst.edges
+    present = {tuple(e) for e in edges.to_numpy().tolist()}
+    ids = sorted({v for e in present for v in e})
+    absent = [
+        (u, v) for u in ids[:20] for v in ids[:20] if u < v and (u, v) not in present
+    ]
+    e0, e1, e2, e3 = [tuple(e) for e in edges.to_numpy()[[0, 10, 20, 30]].tolist()]
+    (p0, p1), (p2, p3) = absent[:2], absent[2:4]
+    # The lowest-degree vertex that some row picked as its source.
+    deg = pd.concat([edges["src"], edges["dst"]]).value_counts()
+    picked = set(rst.src.ravel().tolist())
+    leaf = min((d, v) for v, d in deg.items() if v in picked)[1]
+    leaf_edges = edges[(edges["src"] == leaf) | (edges["dst"] == leaf)]
+    new_id = ids[-1] + 100
+    chained = []
+    cur = edges
+    for seed in (11, 12, 13):
+        ins, dele = edit_batch(cur, 20, seed=seed)
+        chained.append((ins, dele))
+        cur = apply_edits_pdf(cur, ins, dele)
+    return [
+        ("random batch", [edit_batch(pdf, 30, seed=9)]),
+        (
+            "inserted and deleted in one batch",
+            [(_pairs([p0, e1]), _pairs([p0, e1]))],
+        ),
+        ("insert of a present edge", [(_pairs([e0, (new_id, e2[0])]), None)]),
+        ("delete of an absent edge", [(None, _pairs([p1, e2]))]),
+        (
+            "self-loop and reversed duplicate",
+            [(_pairs([(ids[3], ids[3]), p2, p2[::-1]]), _pairs([e3[::-1], e3]))],
+        ),
+        ("vertex drops to degree 0", [(_pairs([p3]), leaf_edges)]),
+        ("three chained batches", chained),
+    ]
+
+
 class TestApplyBatch:
     def test_bit_identical_to_reference(self, spark, base):
         st, pdf = base
-        ins, dele = edit_batch(pdf, 30, seed=9)
-        st2, stats = apply_batch(
-            st, spark.createDataFrame(ins), spark.createDataFrame(dele)
-        )
-        rst2, rstats = ref_apply_batch(
-            ref_run_static(pdf, T_ITERS, SEED), ins, dele
-        )
-        pd.testing.assert_frame_equal(
-            _sorted_labels(st2.labels),
-            labels_long(rst2.g, rst2.labels)
-            .sort_values(["id", "t"])
-            .reset_index(drop=True)
-            .astype("int64"),
-        )
-        assert stats.eta == rstats["eta"]
-        assert stats.n_repicked == rstats["n_repicked"]
-        assert stats.n_value_changed == rstats["n_value_changed"]
-        assert stats.n_affected_vertices == rstats["n_affected_vertices"]
+        rst = ref_run_static(pdf, T_ITERS, SEED)
+        for name, batches in _bit_identical_cases(pdf):
+            st2, rst2 = st, rst
+            for ins, dele in batches:
+                st2, stats = apply_batch(
+                    st2,
+                    None if ins is None else spark.createDataFrame(ins),
+                    None if dele is None else spark.createDataFrame(dele),
+                )
+                rst2, rstats = ref_apply_batch(rst2, ins, dele)
+                pd.testing.assert_frame_equal(
+                    _sorted_labels(st2.labels),
+                    labels_long(rst2.g, rst2.labels)
+                    .sort_values(["id", "t"])
+                    .reset_index(drop=True)
+                    .astype("int64"),
+                    obj=name,
+                )
+                got = {k: getattr(stats, k) for k in rstats}
+                assert got == rstats, name
+                assert st2.epoch == rst2.epoch, name
 
     def test_incremental_equals_scratch(self, spark, base):
         """The paper's headline claim as an exact invariant: the maintained
