@@ -9,9 +9,10 @@ pointer (``comp ← comp(comp)``), which yields the same O(log)-round behavior
 on the graphs at hand while being straightforward to prove monotone and
 convergent. The union-find oracle in ``repro.cc.reference`` checks it.
 
-Per the paper (Section V-B2) the edge-weight filter is pushed into the
-algorithm: ``threshold`` filters ``weight_col >= threshold`` on the fly, so
-the τ1 sweep never materializes a filtered graph.
+Vertex ids may be of any orderable type, structs included: the τ1 sweep of
+``repro.core.postprocess`` keys each vertex by ``(tau, id)`` and so finds the
+components of every candidate-filtered graph in one run. The edge-weight
+filter (paper Section V-B2) lives in that layered edge frame, not here.
 """
 from __future__ import annotations
 
@@ -21,28 +22,17 @@ from pyspark.sql import functions as F
 MAX_ROUNDS = 64
 
 
-def connected_components(
-    edges: DataFrame,
-    weight_col: str | None = None,
-    threshold: float | None = None,
-    vertices: DataFrame | None = None,
-) -> DataFrame:
-    """Components of the (optionally weight-filtered) undirected graph.
+def connected_components(edges: DataFrame) -> DataFrame:
+    """Components of the undirected graph on ``edges`` (``src``, ``dst``).
 
-    Returns ``(id, comp)`` where ``comp`` is the minimum vertex id of the
-    component. Vertices incident to no surviving edge appear only if passed
-    via ``vertices`` (as singleton components).
+    Returns ``(id, comp)`` for every vertex with an edge, where ``comp`` is
+    the minimum vertex id of its component; ids may be of any orderable type.
     """
-    e = edges
-    if weight_col is not None and threshold is not None:
-        e = e.where(F.col(weight_col) >= F.lit(threshold))
-    e = e.select("src", "dst")
+    e = edges.select("src", "dst")
     sym = e.unionByName(
         e.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
     )
     ids = sym.select(F.col("src").alias("id")).distinct()
-    if vertices is not None:
-        ids = ids.unionByName(vertices.select("id")).distinct()
     labels = ids.select("id", F.col("id").alias("comp")).localCheckpoint(
         eager=True
     )

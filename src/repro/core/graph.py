@@ -14,26 +14,8 @@ engine and the NumPy reference agree bit-for-bit.
 """
 from __future__ import annotations
 
-from typing import Iterable, Tuple
-
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-
-
-def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Load an edge list (columns ``src``, ``dst``) and canonicalize it."""
-    return canonical_edges(
-        spark.createDataFrame(pdf[["src", "dst"]].astype("int64"))
-    )
-
-
-def edges_from_pairs(
-    spark: SparkSession, pairs: Iterable[Tuple[int, int]]
-) -> DataFrame:
-    """Canonical edges from an iterable of (u, v) pairs (tests/toys)."""
-    pdf = pd.DataFrame(list(pairs), columns=["src", "dst"], dtype="int64")
-    return edges_from_pandas(spark, pdf)
 
 
 def canonical_edges(edges: DataFrame) -> DataFrame:

@@ -9,17 +9,21 @@ Pipeline:
    Spark and NumPy engines agree bit-for-bit — floats appear only in reports.
 2. **τ2 = min_i max_j w_ij** (Eq. 2, "no isolated vertex").
 3. **τ1 = argmax of community-size entropy** (Eq. 1) over a candidate grid.
-   The paper enumerates [τ2, max w] at step 0.001; each candidate costs one
-   connected-components run, so the number of candidates is a knob
-   (``n_candidates``) — selection logic is shared with the reference engine
-   via ``candidate_taus``/``select_tau1`` below.
-4. **Extraction** — components of the τ1-filtered similarity graph with ≥ 2
-   vertices are strong communities; remaining ("isolated") vertices attach
-   weakly to each neighboring community reachable over an edge with
-   ``w ≥ τ2`` — multi-attachment is what makes communities overlap.
+   The paper enumerates [τ2, max w] at step 0.001; here the grid is thinned
+   to ``n_candidates`` values. Each edge gets one copy per candidate
+   ``τ ≤ w_int``, keyed ``(tau, id)``, and one connected-components run over
+   that disjoint union of the τ-filtered graphs gives every candidate's
+   components, so a candidate costs edge copies, not a CC run. Selection
+   logic is shared with the reference engine via
+   ``candidate_taus``/``select_tau1`` below.
+4. **Extraction** — the τ1 layer of those components are the strong
+   communities (CC emits only vertices with a surviving edge, so each has
+   ≥ 2 vertices); remaining ("isolated") vertices attach weakly to each
+   neighboring community reachable over an edge with ``w ≥ τ2`` —
+   multi-attachment is what makes communities overlap.
 
-The weight-threshold filter is pushed into the CC runs (paper §V-B2), so no
-filtered graph is materialized.
+The weight-threshold filter (paper §V-B2) is applied while the layered edge
+frame is built, so no filtered graph is materialized per candidate.
 """
 from __future__ import annotations
 
@@ -39,6 +43,8 @@ def candidate_taus(
 ) -> List[int]:
     """Deterministic candidate grid: distinct integer weights in
     ``[τ2, max]``, evenly thinned to ``n_candidates`` values (ascending)."""
+    if n_candidates < 1:
+        raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
     ws = np.unique(np.asarray(list(distinct_w), dtype=np.int64))
     ws = ws[ws >= tau2_int]
     if len(ws) == 0:
@@ -90,18 +96,43 @@ def edge_weights(edges: DataFrame, labels: DataFrame, n_iters: int) -> DataFrame
     )
 
 
-def tau2_int_of(weights: DataFrame) -> int:
-    """Eq. 2 on integer weights: min over vertices of max incident w_int."""
+def tau2_and_n_vertices(weights: DataFrame) -> Tuple[int, int]:
+    """Eq. 2 on integer weights (min over vertices of max incident w_int)
+    and the number of vertices, from one per-vertex aggregate."""
     sym = weights.select(F.col("src").alias("id"), "w_int").unionByName(
         weights.select(F.col("dst").alias("id"), "w_int")
     )
     row = (
         sym.groupBy("id")
         .agg(F.max("w_int").alias("mx"))
-        .agg(F.min("mx").alias("t2"))
+        .agg(F.min("mx").alias("t2"), F.count("*").alias("n"))
         .collect()[0]
     )
-    return int(row["t2"]) if row["t2"] is not None else 0
+    t2 = int(row["t2"]) if row["t2"] is not None else 0
+    return t2, int(row["n"])
+
+
+def layered_components(weights: DataFrame, taus: Sequence[int]) -> DataFrame:
+    """Components of every ``w_int ≥ τ`` graph, ``τ`` in ``taus``, from one CC
+    run: rows ``(tau, id, comp)``. Vertex keys are ``(tau, id)`` structs, so
+    the layers share no vertex and stay separate."""
+    layered = weights.select(
+        F.explode(F.array(*[F.lit(t) for t in taus])).alias("tau"),
+        "src",
+        "dst",
+        "w_int",
+    ).where(F.col("w_int") >= F.col("tau"))
+    comps = connected_components(
+        layered.select(
+            F.struct("tau", F.col("src").alias("id")).alias("src"),
+            F.struct("tau", F.col("dst").alias("id")).alias("dst"),
+        )
+    )
+    return comps.select(
+        F.col("id.tau").alias("tau"),
+        F.col("id.id").alias("id"),
+        F.col("comp.id").alias("comp"),
+    )
 
 
 @dataclass
@@ -130,19 +161,11 @@ class PostprocessResult:
         return [by_comp[k] for k in sorted(by_comp)]
 
 
-def _strong_members(weights: DataFrame, tau_int: int) -> DataFrame:
-    """(id, comp) membership of components with ≥ 2 vertices at ``τ``."""
-    comps = connected_components(weights, "w_int", tau_int)
-    sizes = comps.groupBy("comp").agg(F.count("*").alias("n"))
-    keep = sizes.where(F.col("n") >= 2).select("comp")
-    return comps.join(keep, "comp")
-
-
 def extract_communities(
-    weights: DataFrame, tau1_int: int, tau2_int: int
+    weights: DataFrame, strong: DataFrame, tau2_int: int
 ) -> DataFrame:
-    """Strong components at τ1 plus weak attachments at τ2: rows (comp, id)."""
-    strong = _strong_members(weights, tau1_int).localCheckpoint(eager=True)
+    """Strong members ``(comp, id)`` plus their weak attachments at τ2:
+    rows (comp, id)."""
     sym = weights.select(
         F.col("src").alias("a"), F.col("dst").alias("b"), "w_int"
     ).unionByName(
@@ -170,29 +193,20 @@ def postprocess(
 ) -> PostprocessResult:
     """Full Section III-B pipeline; returns communities and thresholds."""
     weights = edge_weights(edges, labels, n_iters).localCheckpoint(eager=True)
-    n_vertices = (
-        edges.select(F.col("src").alias("id"))
-        .unionByName(edges.select(F.col("dst").alias("id")))
-        .distinct()
-        .count()
-    )
-    tau2 = tau2_int_of(weights)
+    tau2, n_vertices = tau2_and_n_vertices(weights)
     distinct_w = [
         int(r["w_int"]) for r in weights.select("w_int").distinct().collect()
     ]
     cands = candidate_taus(distinct_w, tau2, n_candidates)
-    entropies: List[Tuple[int, float]] = []
-    for tau in cands:
-        sizes = [
-            int(r["n"])
-            for r in _strong_members(weights, tau)
-            .groupBy("comp")
-            .agg(F.count("*").alias("n"))
-            .collect()
-        ]
-        entropies.append((tau, size_entropy(sizes, n_vertices)))
-    tau1 = select_tau1(entropies)
-    communities = extract_communities(weights, tau1, tau2).localCheckpoint(
+    comps = layered_components(weights, cands)
+    sizes: Dict[int, List[int]] = {tau: [] for tau in cands}
+    for r in comps.groupBy("tau", "comp").count().collect():
+        sizes[int(r["tau"])].append(int(r["count"]))
+    tau1 = select_tau1(
+        [(tau, size_entropy(s, n_vertices)) for tau, s in sizes.items()]
+    )
+    strong = comps.where(F.col("tau") == tau1).select("comp", "id")
+    communities = extract_communities(weights, strong, tau2).localCheckpoint(
         eager=True
     )
     return PostprocessResult(

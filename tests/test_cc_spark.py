@@ -1,6 +1,6 @@
 """Tests for distributed connected components (repro.cc.components)."""
 import pandas as pd
-import pytest
+from pyspark.sql import functions as F
 
 from repro.cc.components import connected_components
 from repro.cc.reference import component_labels
@@ -29,24 +29,28 @@ class TestConnectedComponents:
         out = _labels_of(connected_components(spark.createDataFrame(pdf)))
         assert set(out.values()) == {0} and len(out) == 81
 
-    def test_weight_threshold_pushdown(self, spark):
+    def test_layers_sharing_ids_stay_separate(self, spark):
+        # Keyed by (tau, id): layer 0 has 1-2 and 3-4, layer 1 has 2-3.
+        # Dropping the layer from the key would join all four ids.
         pdf = pd.DataFrame(
-            {"src": [1, 2, 3], "dst": [2, 3, 4], "w_int": [10, 1, 10]}
+            {"tau": [0, 0, 1], "src": [1, 3, 2], "dst": [2, 4, 3]}
         )
-        out = _labels_of(
-            connected_components(
-                spark.createDataFrame(pdf), weight_col="w_int", threshold=5
-            )
+        e = spark.createDataFrame(pdf).select(
+            F.struct("tau", F.col("src").alias("id")).alias("src"),
+            F.struct("tau", F.col("dst").alias("id")).alias("dst"),
         )
-        assert out == {1: 1, 2: 1, 3: 3, 4: 3}
-
-    def test_extra_vertices_are_singletons(self, spark):
-        pdf = pd.DataFrame({"src": [1], "dst": [2]})
-        verts = spark.createDataFrame(pd.DataFrame({"id": [1, 2, 9]}))
-        out = _labels_of(
-            connected_components(spark.createDataFrame(pdf), vertices=verts)
-        )
-        assert out == {1: 1, 2: 1, 9: 9}
+        out = {
+            tuple(r["id"]): tuple(r["comp"])
+            for r in connected_components(e).collect()
+        }
+        assert out == {
+            (0, 1): (0, 1),
+            (0, 2): (0, 1),
+            (0, 3): (0, 3),
+            (0, 4): (0, 3),
+            (1, 2): (1, 2),
+            (1, 3): (1, 2),
+        }
 
     def test_comp_is_min_id(self, spark):
         pdf = pd.DataFrame({"src": [10, 7], "dst": [7, 3]})

@@ -38,6 +38,10 @@ class TestCandidateTaus:
         out = candidate_taus([9, 2, 5, 2, 7], 0, 10)
         assert out == sorted(set(out))
 
+    def test_rejects_no_candidates(self):
+        with pytest.raises(ValueError, match="n_candidates"):
+            candidate_taus([1, 2, 3], 0, 0)
+
 
 class TestSelectTau1:
     def test_argmax(self):

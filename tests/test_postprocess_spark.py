@@ -7,14 +7,15 @@ from pyspark.sql import functions as F
 
 from repro.core.graph import canonical_edges
 from repro.core.postprocess import (
+    candidate_taus,
     edge_weights,
     extract_communities,
-    postprocess,
-    tau2_int_of,
+    layered_components,
+    tau2_and_n_vertices,
 )
 from repro.core.rslpa import detect_communities, run_static
 from repro.oracle import assert_equivalent
-from repro.reference.postprocess_ref import postprocess_ref
+from repro.reference.postprocess_ref import _strong_cover, postprocess_ref
 from repro.reference.rslpa_ref import propagate
 from repro.webgraph.generator import web_graph
 
@@ -71,7 +72,31 @@ class TestEdgeWeights:
                 {"src": [0, 1, 2], "dst": [1, 2, 3], "w_int": [10, 5, 8]}
             )
         )
-        assert tau2_int_of(w) == 8
+        # max incident: v0=10, v1=10, v2=8, v3=8 -> τ2 = 8 over 4 vertices.
+        assert tau2_and_n_vertices(w) == (8, 4)
+
+
+class TestLayeredComponents:
+    def test_each_candidate_matches_reference(self, state):
+        st, _ = state
+        weights = edge_weights(st.edges, st.labels, T_ITERS).localCheckpoint(
+            eager=True
+        )
+        pw = weights.select("src", "dst", "w_int").toPandas()
+        tau2, _ = tau2_and_n_vertices(weights)
+        cands = candidate_taus(pw["w_int"].unique(), tau2, 6)
+        out = layered_components(weights, cands).toPandas()
+        per_tau = {
+            tau: {comp: set(g["id"]) for comp, g in layer.groupby("comp")}
+            for tau, layer in out.groupby("tau")
+        }
+        expected = {tau: _strong_cover(pw, tau) for tau in cands}
+        # The layers must differ, or a merged key would go unnoticed.
+        layers = {
+            frozenset(map(frozenset, c.values())) for c in expected.values()
+        }
+        assert len(layers) > 1
+        assert {tau: per_tau.get(tau, {}) for tau in cands} == expected
 
 
 class TestExtractCommunities:
@@ -87,16 +112,23 @@ class TestExtractCommunities:
             )
         )
 
-    def test_overlap_via_weak_vertex(self, weights):
-        out = extract_communities(weights, tau1_int=10, tau2_int=4).toPandas()
+    @pytest.fixture(scope="class")
+    def strong(self, spark):
+        # The components of the τ1 = 10 graph.
+        return spark.createDataFrame(
+            pd.DataFrame({"comp": [0, 0, 2, 2], "id": [0, 1, 2, 3]})
+        )
+
+    def test_overlap_via_weak_vertex(self, weights, strong):
+        out = extract_communities(weights, strong, tau2_int=4).toPandas()
         cover = {
             comp: set(grp["id"]) for comp, grp in out.groupby("comp")
         }
         assert cover[0] == {0, 1, 4}
         assert cover[2] == {2, 3, 4}
 
-    def test_high_tau2_blocks_weak(self, weights):
-        out = extract_communities(weights, tau1_int=10, tau2_int=5).toPandas()
+    def test_high_tau2_blocks_weak(self, weights, strong):
+        out = extract_communities(weights, strong, tau2_int=5).toPandas()
         cover = {comp: set(g["id"]) for comp, g in out.groupby("comp")}
         assert cover == {0: {0, 1}, 2: {2, 3}}
 
