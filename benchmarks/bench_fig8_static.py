@@ -8,6 +8,7 @@ post-processing is much cheaper (thresholding vs connected components).
 """
 import pytest
 
+from repro.core.graph import edge_list
 from repro.core.postprocess import postprocess
 from repro.core.rslpa import run_static
 from repro.slpa.slpa import run_slpa, slpa_communities
@@ -64,7 +65,10 @@ def test_slpa_post_processing(benchmark, slpa_mem):
 def test_rslpa_post_processing(benchmark, rslpa_state):
     res = benchmark.pedantic(
         lambda: postprocess(
-            rslpa_state.edges, rslpa_state.labels, T_RSLPA, n_candidates=6
+            edge_list(rslpa_state.adjacency),
+            rslpa_state.labels,
+            T_RSLPA,
+            n_candidates=6,
         ),
         rounds=1,
         iterations=1,

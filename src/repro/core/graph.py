@@ -1,11 +1,12 @@
 """Undirected-graph substrate on Spark DataFrames.
 
 The paper operates on binary graphs (undirected, unweighted, no self-loops,
-no multi-edges). Canonical representation here:
-
-* ``edges``  — one row per undirected edge with ``src < dst``;
-* ``adj``    — both directions, one row per (vertex, neighbor);
-* ``adjacency`` — one row per vertex with its **sorted** neighbor array.
+no multi-edges). The one stored form of a graph is the **adjacency table**:
+one row per degree >= 1 vertex with its sorted neighbor array (``id``,
+``nbrs``); ``edge_list`` derives the canonical edges (``src < dst``) from it
+lazily. An edit batch changes it in two steps: ``edit_diff`` looks each
+batch edge up in the adjacency row of its ``src``, and ``apply_edits`` swaps
+in the new rows of the batch's endpoints.
 
 The sorted neighbor array is load-bearing: Algorithm 1 picks
 ``src_i^t = nbrs_i[h mod deg_i]``, and sortedness makes the pick a pure
@@ -38,13 +39,9 @@ def symmetrize(edges: DataFrame) -> DataFrame:
     return fwd.unionByName(rev)
 
 
-def degrees(edges: DataFrame) -> DataFrame:
-    """Per-vertex degree: columns ``id``, ``degree`` (deg-0 vertices absent)."""
-    return symmetrize(edges).groupBy("id").agg(F.count("*").alias("degree"))
-
-
 def adjacency(edges: DataFrame) -> DataFrame:
-    """Per-vertex sorted neighbor array: columns ``id``, ``nbrs``."""
+    """Per-vertex sorted neighbor array of canonical ``edges``: columns
+    ``id``, ``nbrs``."""
     return (
         symmetrize(edges)
         .groupBy("id")
@@ -52,17 +49,21 @@ def adjacency(edges: DataFrame) -> DataFrame:
     )
 
 
-def vertices(edges: DataFrame) -> DataFrame:
-    """Distinct vertex ids appearing in the edge set: column ``id``."""
-    return symmetrize(edges).select("id").distinct()
+def edge_list(adjacency: DataFrame) -> DataFrame:
+    """The canonical edges (``src < dst``) of an adjacency table."""
+    return adjacency.select(
+        F.col("id").alias("src"), F.explode("nbrs").alias("dst")
+    ).where(F.col("src") < F.col("dst"))
 
 
 def _batch(
-    edges: DataFrame, inserts: DataFrame | None, deletes: DataFrame | None
+    adjacency: DataFrame, inserts: DataFrame | None, deletes: DataFrame | None
 ) -> DataFrame:
     """The distinct canonical edges one batch names, with ``present`` true iff
     the edge is inserted and not deleted (deletes apply after inserts)."""
-    none = edges.where(F.lit(False))
+    none = adjacency.select(
+        F.col("id").alias("src"), F.col("id").alias("dst")
+    ).where(F.lit(False))
     ins, dele = (
         _oriented(none if e is None else e).withColumn("present", F.lit(p))
         for e, p in ((inserts, True), (deletes, False))
@@ -76,32 +77,34 @@ def _batch(
     )
 
 
-def apply_edits(
-    edges: DataFrame, inserts: DataFrame | None, deletes: DataFrame | None
-) -> DataFrame:
-    """New canonical edge set after a batch of inserts and deletes.
-
-    Deletes are applied after inserts (an edge both inserted and deleted in
-    the same batch ends up absent, matching set semantics of one batch).
-    """
-    batch = _batch(edges, inserts, deletes)
-    return edges.join(F.broadcast(batch), ["src", "dst"], "left_anti").unionByName(
-        batch.where("present").select("src", "dst")
-    )
-
-
 def edit_diff(
-    edges: DataFrame, inserts: DataFrame | None, deletes: DataFrame | None
+    adjacency: DataFrame, inserts: DataFrame | None, deletes: DataFrame | None
 ) -> DataFrame:
     """The canonical edges a batch really adds (``added``) or removes (not
     ``added``): columns ``src``, ``dst``, ``added``. Edits that change
-    nothing, such as inserting a present edge, do not appear."""
-    batch = _batch(edges, inserts, deletes)
-    old = edges.join(F.broadcast(batch), ["src", "dst"], "left_semi")
+    nothing, such as inserting a present edge, do not appear.
+
+    Deletes apply after inserts: an edge both inserted and deleted in one
+    batch ends up absent."""
+    batch = _batch(adjacency, inserts, deletes)
+    rows = adjacency.join(
+        F.broadcast(batch.select(F.col("src").alias("id"))), "id", "left_semi"
+    ).withColumnRenamed("id", "src")
+    old = F.coalesce(F.array_contains("nbrs", F.col("dst")), F.lit(False))
     return (
-        batch.join(
-            F.broadcast(old.withColumn("old", F.lit(True))), ["src", "dst"], "left"
-        )
-        .where(F.col("present") != F.coalesce("old", F.lit(False)))
+        batch.join(F.broadcast(rows), "src", "left")
+        .where(F.col("present") != old)
         .select("src", "dst", F.col("present").alias("added"))
+    )
+
+
+def apply_edits(adjacency: DataFrame, changed: DataFrame) -> DataFrame:
+    """The adjacency table with the rows of ``changed`` (columns ``id``,
+    ``new_nbrs``, sorted) swapped in; a null ``new_nbrs`` drops the vertex."""
+    return adjacency.join(
+        F.broadcast(changed.select("id")), "id", "left_anti"
+    ).unionByName(
+        changed.where(F.col("new_nbrs").isNotNull()).select(
+            "id", F.col("new_nbrs").alias("nbrs")
+        )
     )

@@ -2,11 +2,14 @@
 
 Every per-batch frame is built from the batch itself, never by comparing the
 old and new big tables: the **edge diff** (the canonical edges the batch
-really adds or removes, ``repro.core.graph.edit_diff``), one **vertex frame**
-with the old and new neighbor arrays of the diff's endpoints (the affected
-vertices), the **decision frame** of their (vertex, iteration) rows, one
-**message frontier** per correction round, and the **label overlay** built
-once after the last round. η is one aggregate over the overlay.
+really adds or removes, looked up in the adjacency rows of their endpoints by
+``repro.core.graph.edit_diff``), one **vertex frame** with the old and new
+neighbor arrays of the diff's endpoints (the affected vertices), the
+**decision frame** of their (vertex, iteration) rows, one **message
+frontier** per correction round, and the **label overlay** built once after
+the last round. η is one aggregate over the overlay. The new adjacency table
+is the old one with the vertex frame's rows swapped in
+(``repro.core.graph.apply_edits``).
 
 Dataflow note: these frames are small relative to the label/choice tables,
 so every join against a big table broadcasts the small side explicitly
@@ -65,7 +68,7 @@ from pyspark.sql import functions as F
 
 from repro.core import graph as G
 from repro.core import rand
-from repro.core.rslpa import RslpaState
+from repro.core.rslpa import N_STATE_PARTS, RslpaState
 from repro.core.spark_rand import mod_udf, unit_udf
 
 
@@ -88,23 +91,20 @@ def apply_batch(
 ) -> tuple[RslpaState, UpdateStats]:
     """Evolve ``state`` under one batch of edge inserts/deletes.
 
-    The new edge and adjacency tables are checkpointed; the new choice and
-    label tables are lazy overlays over the previous state's.
+    The new adjacency table is checkpointed; the new choice and label
+    tables are lazy overlays over the previous state's.
     """
     n_iters, seed = state.n_iters, state.seed
     epoch = state.epoch + 1
 
-    diff = G.edit_diff(state.edges, inserts, deletes).localCheckpoint(eager=True)
+    diff = G.edit_diff(state.adjacency, inserts, deletes).localCheckpoint(
+        eager=True
+    )
     m_a, m_d = diff.agg(
         F.count_if("added"), F.count_if(~F.col("added"))
     ).first()
     if m_a + m_d == 0:
         return state, UpdateStats(0, 0, 0, 0, 0, 0, 0)
-    new_edges = (
-        G.apply_edits(state.edges, inserts, deletes)
-        .coalesce(16)
-        .localCheckpoint(eager=True)
-    )
 
     # The affected vertices are the diff's endpoints. A null ``old_nbrs``
     # marks a new vertex, a null ``new_nbrs`` one that dropped to degree 0.
@@ -135,13 +135,8 @@ def apply_batch(
     n_affected = vert.count()
     affected = vert.select("id")
     new_adj = (
-        state.adjacency.join(F.broadcast(affected), "id", "left_anti")
-        .unionByName(
-            vert.where(F.col("new_nbrs").isNotNull()).select(
-                "id", F.col("new_nbrs").alias("nbrs")
-            )
-        )
-        .coalesce(16)
+        G.apply_edits(state.adjacency, vert)
+        .coalesce(N_STATE_PARTS)
         .localCheckpoint(eager=True)
     )
 
@@ -295,7 +290,6 @@ def apply_batch(
 
     new_state = replace(
         state,
-        edges=new_edges,
         adjacency=new_adj,
         choices=new_choices,
         labels=labels,

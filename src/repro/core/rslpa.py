@@ -1,9 +1,10 @@
 """End-to-end rSLPA on Spark: Algorithm 1 + Section III-B post-processing.
 
 ``run_static`` performs the randomized label propagation from scratch and
-returns an :class:`RslpaState` — the complete paper state: the graph, the
-choice table (``src``/``pos`` per (vertex, iteration) — which doubles as the
-receiver records R via the reverse join), and the resolved label table.
+returns an :class:`RslpaState` — the complete paper state: the graph (kept
+only as its sorted adjacency table), the choice table (``src``/``pos`` per
+(vertex, iteration) — which doubles as the receiver records R via the
+reverse join), and the resolved label table.
 ``repro.core.incremental.apply_batch`` evolves that state under edge edits.
 ``detect_communities`` runs the post-processing on whatever state you have —
 the paper's operational mode of "handle changes continuously, compute
@@ -23,9 +24,11 @@ from repro.core.resolve import resolve_labels
 
 @dataclass
 class RslpaState:
-    """Everything rSLPA must retain between batches (paper Section IV)."""
+    """Everything rSLPA must retain between batches (paper Section IV).
 
-    edges: DataFrame  # canonical undirected edges (src < dst)
+    The graph is stored once, as its adjacency table; ``graph.edge_list``
+    derives the edges from it when the post-processing needs them."""
+
     adjacency: DataFrame  # (id, sorted nbrs) for degree >= 1 vertices
     choices: DataFrame  # (id, t, src, pos) for t in [1..T]
     labels: DataFrame  # (id, t, label) for t in [0..T]
@@ -34,31 +37,27 @@ class RslpaState:
     epoch: int  # bumps once per applied batch -> fresh re-pick draws
 
 
-_N_STATE_PARTS = 16  # state tables are scan-heavy; keep task counts low
+N_STATE_PARTS = 16  # state tables are scan-heavy; keep task counts low
 
 
 def run_static(edges: DataFrame, n_iters: int, seed: int) -> RslpaState:
     """Algorithm 1 from scratch on a static graph."""
-    edges = (
-        G.canonical_edges(edges)
-        .coalesce(_N_STATE_PARTS)
-        .localCheckpoint(eager=True)
-    )
     adj = (
-        G.adjacency(edges).coalesce(_N_STATE_PARTS).localCheckpoint(eager=True)
+        G.adjacency(G.canonical_edges(edges))
+        .coalesce(N_STATE_PARTS)
+        .localCheckpoint(eager=True)
     )
     choices = (
         draw_choices(adj, n_iters, seed, epoch=0)
-        .coalesce(_N_STATE_PARTS)
+        .coalesce(N_STATE_PARTS)
         .localCheckpoint(eager=True)
     )
     labels = (
         resolve_labels(adj, choices)
-        .coalesce(_N_STATE_PARTS)
+        .coalesce(N_STATE_PARTS)
         .localCheckpoint(eager=True)
     )
     return RslpaState(
-        edges=edges,
         adjacency=adj,
         choices=choices,
         labels=labels,
@@ -73,5 +72,8 @@ def detect_communities(
 ) -> PostprocessResult:
     """Section III-B post-processing over the current label table."""
     return postprocess(
-        state.edges, state.labels, state.n_iters, n_candidates=n_candidates
+        G.edge_list(state.adjacency),
+        state.labels,
+        state.n_iters,
+        n_candidates=n_candidates,
     )

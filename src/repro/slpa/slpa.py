@@ -86,14 +86,12 @@ def _winner_kernel(seed: int, t: int):
 
 def run_slpa(edges: DataFrame, n_iters: int, seed: int) -> DataFrame:
     """T iterations of SLPA; returns memory frame ``(id, labels array)``."""
-    edges = G.canonical_edges(edges)
-    pairs = G.symmetrize(edges).select(
-        F.col("id").alias("listener"), F.col("nbr").alias("speaker")
+    adj = G.adjacency(G.canonical_edges(edges))
+    pairs = adj.select(
+        F.col("id").alias("listener"), F.explode("nbrs").alias("speaker")
     ).localCheckpoint(eager=True)
-    mem = (
-        G.vertices(edges)
-        .select("id", F.array(F.col("id")).alias("labels"))
-        .localCheckpoint(eager=True)
+    mem = adj.select("id", F.array(F.col("id")).alias("labels")).localCheckpoint(
+        eager=True
     )
     for t in range(1, n_iters + 1):
         joined = pairs.join(

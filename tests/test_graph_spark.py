@@ -49,29 +49,6 @@ class TestSymmetrizeDegrees:
         e = G.canonical_edges(df)
         assert G.symmetrize(e).count() == 2 * e.count()
 
-    def test_degrees_oracle(self, raw_edges):
-        df, _ = raw_edges
-        e = G.canonical_edges(df)
-        assert_equivalent(
-            G.degrees(e),
-            """
-            SELECT id, COUNT(*) AS degree FROM (
-                SELECT src AS id FROM e UNION ALL SELECT dst AS id FROM e
-            ) GROUP BY id
-            """,
-            e=e,
-        )
-
-    def test_vertices_oracle(self, raw_edges):
-        df, _ = raw_edges
-        e = G.canonical_edges(df)
-        assert_equivalent(
-            G.vertices(e),
-            "SELECT DISTINCT id FROM (SELECT src AS id FROM e "
-            "UNION ALL SELECT dst AS id FROM e)",
-            e=e,
-        )
-
 
 class TestAdjacency:
     def test_sorted_arrays(self, raw_edges):
@@ -99,23 +76,54 @@ class TestAdjacency:
         )
 
 
+class TestEdgeList:
+    def test_oracle(self, raw_edges):
+        df, _ = raw_edges
+        e = G.canonical_edges(df)
+        assert_equivalent(
+            G.edge_list(G.adjacency(e)), "SELECT src, dst FROM e", e=e
+        )
+
+
+@pytest.fixture(scope="module")
+def adj(raw_edges):
+    # {1,2}, {2,3}, {3,4}, {5,6}
+    return G.adjacency(G.canonical_edges(raw_edges[0]))
+
+
+def _diff(spark, adj, inserts, deletes):
+    frames = (
+        None if p is None else spark.createDataFrame(p, "src long, dst long")
+        for p in (inserts, deletes)
+    )
+    return {tuple(r) for r in G.edit_diff(adj, *frames).collect()}
+
+
 class TestApplyEdits:
-    def test_insert_delete(self, spark, raw_edges):
-        df, _ = raw_edges
-        e = G.canonical_edges(df)
-        ins = spark.createDataFrame(pd.DataFrame({"src": [9], "dst": [8]}))
-        dele = spark.createDataFrame(pd.DataFrame({"src": [2], "dst": [1]}))
-        out = G.apply_edits(e, ins, dele).toPandas()
-        pairs = {tuple(r) for r in out.to_numpy()}
-        assert (8, 9) in pairs and (1, 2) not in pairs
+    """An edit batch against the adjacency table: ``edit_diff`` finds the
+    edges it really changes, ``apply_edits`` swaps in the changed rows."""
 
-    def test_none_edits_noop(self, raw_edges):
-        df, _ = raw_edges
-        e = G.canonical_edges(df)
-        assert G.apply_edits(e, None, None).count() == e.count()
+    def test_insert_delete(self, spark, adj):
+        # (2, 3) is both inserted and deleted: deletes win.
+        got = _diff(spark, adj, [(9, 8), (3, 2)], [(2, 1), (2, 3)])
+        assert got == {(8, 9, True), (1, 2, False), (2, 3, False)}
 
-    def test_insert_existing_is_noop(self, spark, raw_edges):
-        df, _ = raw_edges
-        e = G.canonical_edges(df)
-        ins = spark.createDataFrame(pd.DataFrame({"src": [2], "dst": [1]}))
-        assert G.apply_edits(e, ins, None).count() == e.count()
+    def test_none_edits_noop(self, spark, adj):
+        assert _diff(spark, adj, None, None) == set()
+
+    def test_insert_existing_is_noop(self, spark, adj):
+        assert _diff(spark, adj, [(2, 1), (3, 4)], None) == set()
+
+    def test_delete_absent_is_noop(self, spark, adj):
+        # (1, 3) joins two present vertices, (7, 8) two absent ones.
+        assert _diff(spark, adj, None, [(3, 1), (7, 8)]) == set()
+
+    def test_apply_drops_and_adds_vertex(self, spark, adj):
+        # Delete {1,2} (vertex 1 drops to degree 0), insert {6,7} (new 7).
+        changed = spark.createDataFrame(
+            [(1, None), (2, [3]), (6, [5, 7]), (7, [6])],
+            "id long, new_nbrs array<long>",
+        )
+        new = G.apply_edits(adj, changed).collect()
+        got = {r["id"]: list(r["nbrs"]) for r in new}
+        assert got == {2: [3], 3: [2, 4], 4: [3], 5: [6], 6: [5, 7], 7: [6]}

@@ -36,6 +36,17 @@ def base(spark):
     return st, pdf
 
 
+def _nbrs(st):
+    return {int(r["id"]): list(r["nbrs"]) for r in st.adjacency.collect()}
+
+
+def _ref_nbrs(g):
+    return {
+        int(v): g.nbrs_flat[g.offsets[i] : g.offsets[i + 1]].tolist()
+        for i, v in enumerate(g.ids)
+    }
+
+
 def _pairs(pairs):
     return pd.DataFrame(pairs, columns=["src", "dst"], dtype="int64")
 
@@ -102,6 +113,7 @@ class TestApplyBatch:
                     .astype("int64"),
                     obj=name,
                 )
+                assert _nbrs(st2) == _ref_nbrs(rst2.g), name
                 got = {k: getattr(stats, k) for k in rstats}
                 assert got == rstats, name
                 assert st2.epoch == rst2.epoch, name

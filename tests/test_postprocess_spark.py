@@ -5,7 +5,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.graph import canonical_edges
+from repro.core.graph import edge_list
 from repro.core.postprocess import (
     candidate_taus,
     edge_weights,
@@ -33,9 +33,8 @@ def state(spark):
 class TestEdgeWeights:
     def test_oracle(self, spark, state):
         st, _ = state
-        w = edge_weights(st.edges, st.labels, T_ITERS).select(
-            "src", "dst", "w_int"
-        )
+        edges = edge_list(st.adjacency)
+        w = edge_weights(edges, st.labels, T_ITERS).select("src", "dst", "w_int")
         assert_equivalent(
             w,
             """
@@ -49,13 +48,13 @@ class TestEdgeWeights:
             LEFT JOIN counts cd ON cd.id = e.dst AND cd.label = cs.label
             GROUP BY e.src, e.dst
             """,
-            e=st.edges,
+            e=edges,
             labels=st.labels,
         )
 
     def test_weight_normalization(self, state):
         st, _ = state
-        w = edge_weights(st.edges, st.labels, T_ITERS).toPandas()
+        w = edge_weights(edge_list(st.adjacency), st.labels, T_ITERS).toPandas()
         assert ((0 <= w["w"]) & (w["w"] <= 1)).all()
         assert (w["w"] * (T_ITERS + 1) ** 2 - w["w_int"]).abs().max() < 1e-9
 
@@ -63,7 +62,7 @@ class TestEdgeWeights:
         # Identical twin vertices (same neighborhood) get near-max weight.
         pdf = pd.DataFrame({"src": [1, 1, 2, 2], "dst": [2, 3, 3, 4]})
         st = run_static(spark.createDataFrame(pdf), 2, 0)
-        w = edge_weights(st.edges, st.labels, 2).toPandas()
+        w = edge_weights(edge_list(st.adjacency), st.labels, 2).toPandas()
         assert (w["w_int"] <= 9).all()
 
     def test_tau2(self, spark):
@@ -79,9 +78,9 @@ class TestEdgeWeights:
 class TestLayeredComponents:
     def test_each_candidate_matches_reference(self, state):
         st, _ = state
-        weights = edge_weights(st.edges, st.labels, T_ITERS).localCheckpoint(
-            eager=True
-        )
+        weights = edge_weights(
+            edge_list(st.adjacency), st.labels, T_ITERS
+        ).localCheckpoint(eager=True)
         pw = weights.select("src", "dst", "w_int").toPandas()
         tau2, _ = tau2_and_n_vertices(weights)
         cands = candidate_taus(pw["w_int"].unique(), tau2, 6)
