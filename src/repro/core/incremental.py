@@ -1,15 +1,14 @@
 """Incremental updating after an edge-edit batch (paper Section IV, Alg. 2).
 
 Every per-batch frame is built from the batch itself, never by comparing the
-old and new big tables: the **edge diff** (the canonical edges the batch
-really adds or removes, looked up in the adjacency rows of their endpoints by
-``repro.core.graph.edit_diff``), one **vertex frame** with the old and new
-neighbor arrays of the diff's endpoints (the affected vertices), the
+old and new big tables: one **vertex frame** with the old and new neighbor
+arrays of the affected vertices (the endpoints of the edges the batch
+really adds or removes, found by ``repro.core.graph.edit_diff``), the
 **decision frame** of their (vertex, iteration) rows, one **message
 frontier** per correction round, and the **label overlay** built once after
-the last round. η is one aggregate over the overlay. The new adjacency table
-is the old one with the vertex frame's rows swapped in
-(``repro.core.graph.apply_edits``).
+the last round. The batch's edge counts are one aggregate over the vertex
+frame, and η one over the overlay. The new adjacency table is the old one
+with the vertex frame's rows swapped in (``repro.core.graph.apply_edits``).
 
 Dataflow note: these frames are small relative to the label/choice tables,
 so every join against a big table broadcasts the small side explicitly
@@ -22,21 +21,25 @@ inherently big-big shuffles). The session-level broadcast-join ban from
 
 Two phases, exactly as the paper structures them:
 
-**1. Handling adjacent edge changes** (Section IV-A). Every (vertex,
-iteration) row of the choice table is classified into the paper's three
-categories and re-picked only when required:
+**1. Handling adjacent edge changes** (Section IV-A). The paper's device
+is to "pretend we use the same series of random numbers to perform label
+propagation on the new graph": every (vertex, iteration) row of an affected
+vertex draws a candidate ``(src, pos)`` with Algorithm 1's own draw
+(``repro.core.choices.draw_choices``) on its new neighbor array at the
+batch's epoch. A row keeps its old ``(src, pos)`` iff the old ``src`` is
+still a neighbor and the candidate ``src`` is an old neighbor; otherwise it
+takes the candidate. This realizes the paper's three categories:
 
 * Category 1 (no neighbor change) — row untouched (vertex not in the
   affected set at all).
-* Category 2 (only lost neighbors) — re-pick iff the recorded ``src`` was
-  removed; Theorem 4 guarantees a kept ``src`` is still uniform over the
-  remaining neighbors. The membership test is ``src ∉ new_nbrs`` (legal
-  because ``src ∈ old_nbrs`` by construction).
+* Category 2 (only lost neighbors) — every candidate is an old neighbor, so
+  a row is re-picked iff its ``src`` was removed; Theorem 4 guarantees a
+  kept ``src`` is still uniform over the remaining neighbors.
 * Category 3 (gained neighbors, possibly also lost some) — if ``src`` was
-  removed, re-pick over all current neighbors; otherwise keep with
-  probability ``n_u/(n_u+n_a)`` else pick uniformly among the *added*
-  neighbors (Theorem 5's auxiliary process, realized with a fresh
-  epoch-keyed coin).
+  removed, the candidate is uniform over all current neighbors; otherwise
+  the row stays with probability ``n_u/(n_u+n_a)`` (the candidate is one of
+  the ``n_u`` kept neighbors) and else takes a candidate uniform over the
+  ``n_a`` *added* neighbors — Theorem 5's auxiliary process.
 
 Vertex insertion/deletion follows the paper's reduction: a vertex whose rows
 are missing (new, or previously degree-0) re-picks everything; a vertex that
@@ -67,9 +70,10 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import graph as G
-from repro.core import rand
+from repro.core.choices import draw_choices
 from repro.core.rslpa import N_STATE_PARTS, RslpaState
-from repro.core.spark_rand import mod_udf, unit_udf
+
+N_BATCH_PARTS = 8  # partitions of every per-batch frame; they are small
 
 
 @dataclass
@@ -97,18 +101,10 @@ def apply_batch(
     n_iters, seed = state.n_iters, state.seed
     epoch = state.epoch + 1
 
-    diff = G.edit_diff(state.adjacency, inserts, deletes).localCheckpoint(
-        eager=True
-    )
-    m_a, m_d = diff.agg(
-        F.count_if("added"), F.count_if(~F.col("added"))
-    ).first()
-    if m_a + m_d == 0:
-        return state, UpdateStats(0, 0, 0, 0, 0, 0, 0)
-
-    # The affected vertices are the diff's endpoints. A null ``old_nbrs``
-    # marks a new vertex, a null ``new_nbrs`` one that dropped to degree 0.
-    ends = G.symmetrize(diff)
+    # The affected vertices are the endpoints of the edges the batch really
+    # adds or removes. A null ``old_nbrs`` marks a new vertex, a null
+    # ``new_nbrs`` one that dropped to degree 0.
+    ends = G.symmetrize(G.edit_diff(state.adjacency, inserts, deletes))
     old = state.adjacency.join(F.broadcast(ends.select("id")), "id", "left_semi")
     new_nbrs = F.array_sort(
         F.array_union(
@@ -127,73 +123,73 @@ def apply_batch(
             F.collect_list(F.when(~F.col("added"), F.col("nbr"))).alias("lost"),
         )
         .select(
-            "id", "old_nbrs", F.when(F.size(new_nbrs) > 0, new_nbrs).alias("new_nbrs")
+            "id",
+            "old_nbrs",
+            F.when(F.size(new_nbrs) > 0, new_nbrs).alias("new_nbrs"),
+            F.size("gained").alias("n_gained"),
+            F.size("lost").alias("n_lost"),
         )
-        .coalesce(8)
+        .coalesce(N_BATCH_PARTS)
         .localCheckpoint(eager=True)
     )
-    n_affected = vert.count()
-    affected = vert.select("id")
+    n_affected, ends_a, ends_d = vert.agg(
+        F.count("*"), F.sum("n_gained"), F.sum("n_lost")
+    ).first()
+    if n_affected == 0:
+        return state, UpdateStats(0, 0, 0, 0, 0, 0, 0)
+    # Each diff edge appears at both of its endpoints.
+    m_a, m_d = ends_a // 2, ends_d // 2
     new_adj = (
         G.apply_edits(state.adjacency, vert)
         .coalesce(N_STATE_PARTS)
         .localCheckpoint(eager=True)
     )
 
-    # --- Phase 1: classify & re-pick affected rows -------------------------
-    grid = vert.where(F.col("new_nbrs").isNotNull()).select(
-        "id",
-        "old_nbrs",
-        "new_nbrs",
-        F.explode(F.sequence(F.lit(1), F.lit(n_iters))).alias("t"),
+    # --- Phase 1: re-pick affected rows -----------------------------------
+    # The candidates are Algorithm 1's draw on the new graph at this epoch;
+    # the keep rule is the module docstring's. Rows of a vertex without old
+    # rows (new, or degree 0 before) always take the candidate.
+    cand = draw_choices(
+        vert.where(F.col("new_nbrs").isNotNull()).select(
+            "id", F.col("new_nbrs").alias("nbrs")
+        ),
+        n_iters,
+        seed,
+        epoch,
     )
-    old_rows = state.choices.join(F.broadcast(affected), "id")
-    dec = (
-        grid.join(old_rows, ["id", "t"], "left")
-        .withColumn("n_new", F.size("new_nbrs"))
-        .withColumn(
-            "added",
-            F.array_except(
-                "new_nbrs",
-                F.coalesce("old_nbrs", F.array().cast("array<long>")),
-            ),
-        )
-        .withColumn("n_add", F.size("added"))
-        .withColumn(
-            "keep_ok",
-            F.col("src").isNotNull() & F.array_contains("new_nbrs", F.col("src")),
-        )
-    )
-    u_keep = unit_udf(seed, rand.KEEP, epoch)
-    i_src = mod_udf(seed, rand.NSRC, epoch)
-    i_pos = mod_udf(seed, rand.NPOS, epoch)
-    dec = (
-        dec.withColumn("u", u_keep("id", "t"))
-        .withColumn("idx_full", i_src(F.col("n_new"), F.col("id"), F.col("t")))
-        .withColumn("idx_add", i_src(F.col("n_add"), F.col("id"), F.col("t")))
-        .withColumn("new_pos", i_pos(F.col("t"), F.col("id"), F.col("t")))
-    )
-    keep_prob = (F.col("n_new") - F.col("n_add")) / F.col("n_new")
-    switch = F.col("keep_ok") & (F.col("n_add") > 0) & (F.col("u") >= keep_prob)
-    repick_full = ~F.col("keep_ok")
-    dec = dec.select(
+    old_rows = state.choices.join(F.broadcast(vert), "id").select(
         "id",
         "t",
-        F.when(repick_full, F.element_at("new_nbrs", (F.col("idx_full") + 1).cast("int")))
-        .when(switch, F.element_at("added", (F.col("idx_add") + 1).cast("int")))
-        .otherwise(F.col("src"))
-        .alias("src"),
-        F.when(repick_full | switch, F.col("new_pos").cast("int"))
-        .otherwise(F.col("pos"))
-        .alias("pos"),
-        (repick_full | switch).alias("changed"),
-    ).coalesce(8).localCheckpoint(eager=True)
+        F.col("src").alias("old_src"),
+        F.col("pos").alias("old_pos"),
+        "old_nbrs",
+        "new_nbrs",
+    )
+    keep = F.coalesce(
+        F.array_contains("new_nbrs", F.col("old_src"))
+        & F.array_contains("old_nbrs", F.col("src")),
+        F.lit(False),
+    )
+    dec = (
+        cand.join(old_rows, ["id", "t"], "left")
+        .select(
+            "id",
+            "t",
+            F.when(keep, F.col("old_src")).otherwise(F.col("src")).alias("src"),
+            F.when(keep, F.col("old_pos")).otherwise(F.col("pos")).alias("pos"),
+            (~keep).alias("changed"),
+        )
+        .coalesce(N_BATCH_PARTS)
+        .localCheckpoint(eager=True)
+    )
 
     # The updated choice table stays LAZY: one broadcast anti-join layer
     # over the old (checkpointed) table plus the small decision frame. Scans
     # remain cheap and nothing O(T*|V|) is rewritten per batch — the paper's
     # "only visit vertices close to the changed edges" at the storage level.
-    unaffected = state.choices.join(F.broadcast(affected), "id", "left_anti")
+    unaffected = state.choices.join(
+        F.broadcast(vert.select("id")), "id", "left_anti"
+    )
     new_choices = unaffected.unionByName(dec.select("id", "t", "src", "pos"))
 
     # --- Phase 2: Correction Propagation ----------------------------------
@@ -234,7 +230,7 @@ def apply_batch(
             & (frontier["pos"] == init_view["lt"]),
         )
         .select("id", "t", F.col("llabel").alias("label"))
-        .coalesce(8)
+        .coalesce(N_BATCH_PARTS)
         .localCheckpoint(eager=True)
     )
     waves = [dirty.withColumn("round", F.lit(0))]
@@ -256,7 +252,7 @@ def apply_batch(
                 & (new_choices["pos"] == sources["st"]),
             )
             .select(new_choices["id"], "t", F.col("slabel").alias("label"))
-            .coalesce(8)
+            .coalesce(N_BATCH_PARTS)
             .localCheckpoint(eager=True)
         )
         waves.append(dirty.withColumn("round", F.lit(len(round_deltas))))
@@ -270,7 +266,7 @@ def apply_batch(
             F.max_by("label", "round").alias("new_label"),
             (F.min("round") == 0).alias("repicked"),
         )
-        .coalesce(8)
+        .coalesce(N_BATCH_PARTS)
         .localCheckpoint(eager=True)
     )
     # η: only overlaid rows can differ from the snapshot, and every

@@ -1,18 +1,17 @@
 """Deterministic counter-based randomness shared by Spark and NumPy engines.
 
 The whole random state of rSLPA (Algorithm 1) is the set of independent
-uniform draws ``(src_i^t, pos_i^t)`` plus the auxiliary draws of the
-incremental algorithm (Theorem 5's keep-or-switch coin, re-pick draws).
-Instead of a stateful RNG we derive every draw from a splitmix64-style hash
-of ``(seed, purpose, epoch, i, t)``:
+uniform draws ``(src_i^t, pos_i^t)``. Instead of a stateful RNG we derive
+every draw from a splitmix64-style hash of ``(seed, purpose, epoch, i, t)``:
 
 * the Spark engine (vectorized inside ``mapInPandas``) and the NumPy
   reference engine consume *identical* draws, so their outputs are
   bit-identical — the strongest possible cross-check;
 * the paper's device "pretend we use the same series of random numbers to
   perform label propagation on the new graph" (Section IV-A) is realized
-  exactly: unchanged ``(i, t)`` rows reproduce their old draw, re-picked rows
-  use a fresh ``epoch`` counter.
+  exactly: unchanged ``(i, t)`` rows reproduce their old draw, and the
+  incremental update draws its candidates with Algorithm 1's own kernel at
+  a fresh ``epoch`` counter.
 
 All arithmetic is modulo 2^64 on ``np.uint64`` arrays; NumPy wraps unsigned
 integer overflow silently for array operands, which is exactly what we want.
@@ -34,9 +33,6 @@ SRC = 0x5243  # "src": neighbor pick in Algorithm 1
 POS = 0x504F  # "pos": position pick in Algorithm 1
 TIE = 0x5449  # SLPA plurality tie-break
 SEND = 0x534E  # SLPA speaker's label pick per (listener, speaker)
-KEEP = 0x4B50  # Theorem 5 keep-or-switch coin (Category 3)
-NSRC = 0x4E53  # re-picked src (Categories 2/3)
-NPOS = 0x4E50  # re-picked pos (Categories 2/3)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -79,7 +75,3 @@ def hash_mod(seed: int, purpose: int, mod, *keys) -> np.ndarray:
         np.int64
     )
 
-
-def hash_unit(seed: int, purpose: int, *keys) -> np.ndarray:
-    """Uniform float64 in [0, 1) per element — for the Theorem 5 coin."""
-    return (hash_u64(seed, purpose, *keys) >> np.uint64(11)) * (2.0**-53)

@@ -1,8 +1,10 @@
 """NumPy reference of the incremental update (paper Section IV).
 
-Applies the identical Category 1/2/3 decision rules with the identical
-epoch-keyed hash draws as ``repro.core.incremental``, so the updated choice
-table and label table are bit-for-bit equal to the Spark engine's (tested).
+Applies the Category 1/2/3 keep rule of ``repro.core.incremental`` in NumPy
+to the candidates of Algorithm 1's draw on the new graph
+(``draw_choice_matrices`` at the batch's epoch, the kernel both engines
+share), so the updated choice table and label table are bit-for-bit equal to
+the Spark engine's (tested).
 Labels are recomputed by the sequential recurrence and diffed to measure the
 paper's η (number of labels needing update) — this is the measurement oracle
 behind the Fig. 9 η table and the complexity-model validation, where running
@@ -16,7 +18,6 @@ from typing import Dict, Tuple
 import numpy as np
 import pandas as pd
 
-from repro.core import rand
 from repro.reference.rslpa_ref import (
     RefGraph,
     build_graph,
@@ -88,67 +89,35 @@ def ref_apply_batch(
     added = new_set - old_set
     affected = {v for e in removed | added for v in e}
     g_new = build_graph(new_edges)
-    n_new_g = g_new.n
-
     old_index = {int(v): i for i, v in enumerate(state.g.ids)}
-    old_nbr_sets = state.g.neighbor_sets()
 
-    src_new = np.empty((n_new_g, T), dtype=np.int64)
-    pos_new = np.empty((n_new_g, T), dtype=np.int64)
-    repicked = np.zeros((n_new_g, T), dtype=bool)
-    t_arr = np.arange(1, T + 1, dtype=np.int64)
-
-    for row, vid in enumerate(g_new.ids):
-        vid = int(vid)
-        if vid not in affected:
-            old_row = old_index[vid]  # unaffected => existed with same nbrs
-            src_new[row] = state.src[old_row]
-            pos_new[row] = state.pos[old_row]
-            continue
-        new_nbrs = g_new.nbrs_flat[g_new.offsets[row] : g_new.offsets[row + 1]]
-        new_set_v = set(new_nbrs.tolist())
-        old_set_v = old_nbr_sets.get(vid, set())
-        added_v = np.array(
-            sorted(new_set_v - old_set_v), dtype=np.int64
-        )  # == array_except(new, old) on sorted arrays
-        n_new = len(new_nbrs)
-        n_add = len(added_v)
-        has_old = vid in old_index
-        if has_old:
-            src_old = state.src[old_index[vid]]
-            pos_old = state.pos[old_index[vid]]
-            keep_ok = np.isin(src_old, new_nbrs)
-        else:
-            src_old = np.zeros(T, dtype=np.int64)
-            pos_old = np.zeros(T, dtype=np.int64)
-            keep_ok = np.zeros(T, dtype=bool)
-        u = rand.hash_unit(seed, rand.KEEP, epoch, vid, t_arr)
-        idx_full = rand.hash_mod(seed, rand.NSRC, n_new, epoch, vid, t_arr)
-        idx_add = rand.hash_mod(
-            seed, rand.NSRC, max(n_add, 1), epoch, vid, t_arr
-        )
-        new_pos = rand.hash_mod(seed, rand.NPOS, t_arr, epoch, vid, t_arr)
-        keep_prob = (n_new - n_add) / n_new
-        switch = keep_ok & (n_add > 0) & (u >= keep_prob)
-        repick_full = ~keep_ok
-        s = np.where(
-            repick_full,
-            new_nbrs[idx_full],
-            np.where(switch, added_v[idx_add] if n_add else 0, src_old),
-        )
-        p = np.where(repick_full | switch, new_pos, pos_old)
-        src_new[row] = s
-        pos_new[row] = p
-        repicked[row] = repick_full | switch
-
-    labels_new = resolve_label_matrix(g_new, src_new, pos_new)
+    # Candidates: Algorithm 1's draw on the new graph at this epoch. A row
+    # keeps its old (src, pos) iff its vertex is unaffected, or its src is
+    # still a neighbor and its candidate src is an old neighbor.
+    src_new, pos_new = draw_choice_matrices(g_new, T, seed, epoch)
+    keep = np.zeros((g_new.n, T), dtype=bool)
     # labels_init mirrors the Spark engine: old label where the row survived,
     # anchor placeholder (the vertex id) where it is new.
     labels_init = np.repeat(g_new.ids[:, None], T + 1, axis=1)
     for row, vid in enumerate(g_new.ids):
         old_row = old_index.get(int(vid))
-        if old_row is not None:
-            labels_init[row] = state.labels[old_row]
+        if old_row is None:
+            continue  # new vertex: every row takes its candidate
+        labels_init[row] = state.labels[old_row]
+        src_old = state.src[old_row]
+        if int(vid) in affected:
+            new_nbrs = g_new.nbrs_flat[g_new.offsets[row] : g_new.offsets[row + 1]]
+            old_nbrs = state.g.nbrs_flat[
+                state.g.offsets[old_row] : state.g.offsets[old_row + 1]
+            ]
+            keep[row] = np.isin(src_old, new_nbrs) & np.isin(src_new[row], old_nbrs)
+        else:
+            keep[row] = True
+        src_new[row] = np.where(keep[row], src_old, src_new[row])
+        pos_new[row] = np.where(keep[row], state.pos[old_row], pos_new[row])
+    repicked = ~keep
+
+    labels_new = resolve_label_matrix(g_new, src_new, pos_new)
     value_changed = labels_new != labels_init
     eta = int(np.count_nonzero(repicked | value_changed[:, 1:]))
     stats = {

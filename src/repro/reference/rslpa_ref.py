@@ -3,8 +3,8 @@
 Same algorithm, same draws, different substrate: this engine consumes the
 *identical* splitmix64 draws as the Spark engine (`repro.core.choices`
 exposes the shared kernel), so its choice table and label table are
-bit-for-bit equal to Spark's — tested in ``tests/test_resolve.py``. It serves
-two roles:
+bit-for-bit equal to Spark's — tested in ``tests/test_spark_engines.py``.
+It serves two roles:
 
 1. measurement oracle for the Spark dataflow (exact-equality checks);
 2. fast engine for the Table I quality sweeps (6 sweeps x 5 points x

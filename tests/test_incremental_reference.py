@@ -16,7 +16,11 @@ from repro.reference.incremental_ref import (
     ref_apply_batch,
     ref_run_static,
 )
-from repro.reference.rslpa_ref import build_graph, resolve_label_matrix
+from repro.reference.rslpa_ref import (
+    build_graph,
+    draw_choice_matrices,
+    resolve_label_matrix,
+)
 from repro.webgraph.generator import edit_batch, web_graph
 
 
@@ -132,6 +136,40 @@ class TestCategories:
         st2, _ = ref_apply_batch(st, ins, None)
         row0 = int(st2.g.index_of(np.array([0]))[0])
         assert set(st2.src[row0].tolist()) & set(range(6, 11))
+
+    def test_rows_keep_old_pair_or_take_epoch_draw(self):
+        """Each row of an affected vertex either keeps its old (src, pos),
+        with src an old and a current neighbor, or takes Algorithm 1's draw
+        on the new graph at the batch's epoch."""
+        g = web_graph(n=300, avg_degree=8, seed=12)
+        n_iters, seed = 15, 13
+        st = ref_run_static(g, n_iters, seed)
+        ins, dele = edit_batch(g, 40, seed=14)
+        st2, _ = ref_apply_batch(st, ins, dele)
+        cand_src, cand_pos = draw_choice_matrices(st2.g, n_iters, seed, st2.epoch)
+        old_ns, new_ns = st.g.neighbor_sets(), st2.g.neighbor_sets()
+        diff = {tuple(e) for e in st.edges.to_numpy()} ^ {
+            tuple(e) for e in st2.edges.to_numpy()
+        }
+        affected = {int(v) for e in diff for v in e}
+        kept = drawn = 0
+        for row, vid in enumerate(st2.g.ids.tolist()):
+            if vid not in affected:
+                continue
+            old_row = int(np.searchsorted(st.g.ids, vid))
+            has_old = vid in old_ns
+            for j in range(n_iters):
+                pair = (st2.src[row, j], st2.pos[row, j])
+                if (
+                    has_old
+                    and pair == (st.src[old_row, j], st.pos[old_row, j])
+                    and pair[0] in old_ns[vid] & new_ns[vid]
+                ):
+                    kept += 1
+                else:
+                    assert pair == (cand_src[row, j], cand_pos[row, j])
+                    drawn += 1
+        assert kept > 0 and drawn > 0
 
     def test_theorem4_uniformity(self):
         """Kept+repicked src is uniform over remaining neighbors after a

@@ -71,24 +71,9 @@ class TestHashMod:
         assert rand.hash_mod(1, rand.SRC, 5, np.arange(4)).dtype == np.int64
 
 
-class TestHashUnit:
-    def test_range(self):
-        u = rand.hash_unit(1, rand.KEEP, np.arange(100_000))
-        assert u.min() >= 0.0 and u.max() < 1.0
-
-    def test_mean_near_half(self):
-        u = rand.hash_unit(1, rand.KEEP, np.arange(100_000))
-        assert abs(u.mean() - 0.5) < 0.01
-
-    def test_deterministic(self):
-        a = rand.hash_unit(3, rand.KEEP, 5, np.arange(10))
-        b = rand.hash_unit(3, rand.KEEP, 5, np.arange(10))
-        assert np.array_equal(a, b)
-
-
 @given(
     seed=st.integers(0, 2**31 - 1),
-    purpose=st.sampled_from([rand.SRC, rand.POS, rand.TIE, rand.KEEP]),
+    purpose=st.sampled_from([rand.SRC, rand.POS, rand.TIE, rand.SEND]),
     keys=st.lists(st.integers(0, 2**40), min_size=1, max_size=4),
 )
 @settings(max_examples=50, deadline=None)
@@ -104,5 +89,5 @@ def test_hash_is_pure_function(seed, purpose, keys):
 )
 @settings(max_examples=100, deadline=None)
 def test_hash_mod_in_range(mod, key):
-    v = int(rand.hash_mod(0, rand.NSRC, mod, key))
+    v = int(rand.hash_mod(0, rand.SRC, mod, key))
     assert 0 <= v < mod

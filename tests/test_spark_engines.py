@@ -2,19 +2,17 @@
 
 These are the strongest correctness checks in the repo: because both engines
 consume identical splitmix64 draws, any divergence in the Spark joins,
-pointer doubling, mapInPandas kernels, or UDF plumbing shows up as an exact
-mismatch — not a statistical blur.
+pointer doubling or mapInPandas kernels shows up as an exact mismatch — not
+a statistical blur.
 """
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import rand
 from repro.core.choices import draw_choices
 from repro.core.graph import adjacency, canonical_edges
 from repro.core.resolve import resolve_labels
-from repro.core.spark_rand import mod_udf, unit_udf
 from repro.reference.rslpa_ref import (
     draw_choice_matrices,
     labels_long,
@@ -32,30 +30,6 @@ SEED = 5
 def small_graph(spark):
     pdf = web_graph(n=250, avg_degree=6, seed=1)
     return spark.createDataFrame(pdf).cache(), pdf
-
-
-class TestSparkRandUdfs:
-    def test_mod_udf_matches_numpy(self, spark):
-        pdf = pd.DataFrame({"mod": [3, 7, 10, 1], "id": [1, 2, 3, 4], "t": [1, 2, 3, 4]})
-        df = spark.createDataFrame(pdf)
-        f = mod_udf(9, rand.NSRC, 2)
-        got = (
-            df.select(f("mod", "id", "t").alias("v")).toPandas()["v"].to_numpy()
-        )
-        expect = rand.hash_mod(
-            9, rand.NSRC, pdf["mod"].to_numpy(), 2, pdf["id"].to_numpy(), pdf["t"].to_numpy()
-        )
-        assert np.array_equal(got, expect)
-
-    def test_unit_udf_matches_numpy(self, spark):
-        pdf = pd.DataFrame({"id": [1, 2, 3], "t": [4, 5, 6]})
-        df = spark.createDataFrame(pdf)
-        f = unit_udf(9, rand.KEEP, 1)
-        got = df.select(f("id", "t").alias("v")).toPandas()["v"].to_numpy()
-        expect = rand.hash_unit(
-            9, rand.KEEP, 1, pdf["id"].to_numpy(), pdf["t"].to_numpy()
-        )
-        assert np.allclose(got, expect, rtol=0, atol=0)
 
 
 class TestChoicesEquality:
