@@ -10,10 +10,9 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master, driver memory and session configs come from
-    ``repro.spark_session``, the same bootstrap the jobs use. Broadcast
-    joins are disabled so papers about shuffle/join algorithms actually
-    exercise the shuffle path at SF~=0.1; a reproduction that wants a
-    broadcast join sets the threshold back for that query.
+    ``repro.spark_session``, the same bootstrap the jobs use. Automatic
+    broadcast joins are off session-wide; the algorithms broadcast their
+    small sides with explicit ``F.broadcast`` hints (DESIGN.md §7).
     """
     # Imported here so that suites which never ask for Spark (``perfbench``)
     # load this file without ``src`` on the path.

@@ -4,9 +4,10 @@ The paper operates on binary graphs (undirected, unweighted, no self-loops,
 no multi-edges). The one stored form of a graph is the **adjacency table**:
 one row per degree >= 1 vertex with its sorted neighbor array (``id``,
 ``nbrs``); ``edge_list`` derives the canonical edges (``src < dst``) from it
-lazily. An edit batch changes it in two steps: ``edit_diff`` looks each
-batch edge up in the adjacency row of its ``src``, and ``apply_edits`` swaps
-in the new rows of the batch's endpoints.
+lazily. An edit batch changes it in two steps: ``edit`` turns the batch
+into the old and new neighbor arrays of every vertex whose array it changes
+(one lookup of the batch's endpoints in the adjacency), and ``apply_edits``
+swaps those new rows in.
 
 The sorted neighbor array is load-bearing: Algorithm 1 picks
 ``src_i^t = nbrs_i[h mod deg_i]``, and sortedness makes the pick a pure
@@ -31,11 +32,9 @@ def _oriented(edges: DataFrame) -> DataFrame:
 
 
 def symmetrize(edges: DataFrame) -> DataFrame:
-    """Both directions of each canonical edge: columns ``id``, ``nbr`` and
-    any other columns of ``edges``."""
-    rest = [c for c in edges.columns if c not in ("src", "dst")]
-    fwd = edges.select(F.col("src").alias("id"), F.col("dst").alias("nbr"), *rest)
-    rev = edges.select(F.col("dst").alias("id"), F.col("src").alias("nbr"), *rest)
+    """Both directions of each canonical edge: columns ``id``, ``nbr``."""
+    fwd = edges.select(F.col("src").alias("id"), F.col("dst").alias("nbr"))
+    rev = edges.select(F.col("dst").alias("id"), F.col("src").alias("nbr"))
     return fwd.unionByName(rev)
 
 
@@ -56,45 +55,49 @@ def edge_list(adjacency: DataFrame) -> DataFrame:
     ).where(F.col("src") < F.col("dst"))
 
 
-def _batch(
+def edit(
     adjacency: DataFrame, inserts: DataFrame | None, deletes: DataFrame | None
 ) -> DataFrame:
-    """The distinct canonical edges one batch names, with ``present`` true iff
-    the edge is inserted and not deleted (deletes apply after inserts)."""
+    """The vertices whose neighbor array one batch changes: columns ``id``,
+    ``old_nbrs``, ``new_nbrs`` (sorted). A null ``old_nbrs`` marks a new
+    vertex, a null ``new_nbrs`` one that drops to degree 0. Edits that change
+    nothing, such as inserting a present edge, leave no row.
+
+    Deletes apply after inserts: an edge both inserted and deleted in one
+    batch ends up absent."""
     none = adjacency.select(
         F.col("id").alias("src"), F.col("id").alias("dst")
     ).where(F.lit(False))
     ins, dele = (
-        _oriented(none if e is None else e).withColumn("present", F.lit(p))
-        for e, p in ((inserts, True), (deletes, False))
+        symmetrize(_oriented(none if e is None else e)).withColumn(
+            "ins", F.lit(i)
+        )
+        for e, i in ((inserts, True), (deletes, False))
     )
     # A batch is small: one partition groups it without a shuffle.
-    return (
+    batch = (
         ins.unionByName(dele)
         .coalesce(1)
-        .groupBy("src", "dst")
-        .agg(F.min("present").alias("present"))
+        .groupBy("id")
+        .agg(
+            F.collect_list(F.when(F.col("ins"), F.col("nbr"))).alias("ins"),
+            F.collect_list(F.when(~F.col("ins"), F.col("nbr"))).alias("dels"),
+        )
     )
-
-
-def edit_diff(
-    adjacency: DataFrame, inserts: DataFrame | None, deletes: DataFrame | None
-) -> DataFrame:
-    """The canonical edges a batch really adds (``added``) or removes (not
-    ``added``): columns ``src``, ``dst``, ``added``. Edits that change
-    nothing, such as inserting a present edge, do not appear.
-
-    Deletes apply after inserts: an edge both inserted and deleted in one
-    batch ends up absent."""
-    batch = _batch(adjacency, inserts, deletes)
-    rows = adjacency.join(
-        F.broadcast(batch.select(F.col("src").alias("id"))), "id", "left_semi"
-    ).withColumnRenamed("id", "src")
-    old = F.coalesce(F.array_contains("nbrs", F.col("dst")), F.lit(False))
+    rows = adjacency.join(F.broadcast(batch.select("id")), "id", "left_semi")
+    old = F.coalesce("nbrs", F.array().cast("array<long>"))
+    new = F.array_sort(F.array_except(F.array_union(old, "ins"), "dels"))
     return (
-        batch.join(F.broadcast(rows), "src", "left")
-        .where(F.col("present") != old)
-        .select("src", "dst", F.col("present").alias("added"))
+        batch.join(F.broadcast(rows), "id", "left")
+        .select(
+            "id", F.col("nbrs").alias("old_nbrs"), old.alias("old"), new.alias("new")
+        )
+        .where(F.col("old") != F.col("new"))
+        .select(
+            "id",
+            "old_nbrs",
+            F.when(F.size("new") > 0, F.col("new")).alias("new_nbrs"),
+        )
     )
 
 

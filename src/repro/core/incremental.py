@@ -2,13 +2,14 @@
 
 Every per-batch frame is built from the batch itself, never by comparing the
 old and new big tables: one **vertex frame** with the old and new neighbor
-arrays of the affected vertices (the endpoints of the edges the batch
-really adds or removes, found by ``repro.core.graph.edit_diff``), the
-**decision frame** of their (vertex, iteration) rows, one **message
-frontier** per correction round, and the **label overlay** built once after
-the last round. The batch's edge counts are one aggregate over the vertex
-frame, and η one over the overlay. The new adjacency table is the old one
-with the vertex frame's rows swapped in (``repro.core.graph.apply_edits``).
+arrays of the affected vertices (those whose neighbor array the batch
+changes, built by ``repro.core.graph.edit`` with one lookup of the batch's
+endpoints in the adjacency), the **decision frame** of their (vertex,
+iteration) rows, one **message frontier** per correction round, and the
+**label overlay** built once after the last round. The batch's edge counts
+are one aggregate over the vertex frame, and η one over the overlay. The new
+adjacency table is the old one with the vertex frame's rows swapped in
+(``repro.core.graph.apply_edits``).
 
 Dataflow note: these frames are small relative to the label/choice tables,
 so every join against a big table broadcasts the small side explicitly
@@ -101,43 +102,25 @@ def apply_batch(
     n_iters, seed = state.n_iters, state.seed
     epoch = state.epoch + 1
 
-    # The affected vertices are the endpoints of the edges the batch really
-    # adds or removes. A null ``old_nbrs`` marks a new vertex, a null
-    # ``new_nbrs`` one that dropped to degree 0.
-    ends = G.symmetrize(G.edit_diff(state.adjacency, inserts, deletes))
-    old = state.adjacency.join(F.broadcast(ends.select("id")), "id", "left_semi")
-    new_nbrs = F.array_sort(
-        F.array_union(
-            F.array_except(
-                F.coalesce("old_nbrs", F.array().cast("array<long>")), "lost"
-            ),
-            "gained",
-        )
-    )
+    # The affected vertices are those whose neighbor array the batch
+    # changes. A null ``old_nbrs`` marks a new vertex, a null ``new_nbrs``
+    # one that dropped to degree 0.
     vert = (
-        ends.unionByName(old, allowMissingColumns=True)
-        .groupBy("id")
-        .agg(
-            F.first("nbrs", ignorenulls=True).alias("old_nbrs"),
-            F.collect_list(F.when(F.col("added"), F.col("nbr"))).alias("gained"),
-            F.collect_list(F.when(~F.col("added"), F.col("nbr"))).alias("lost"),
-        )
-        .select(
-            "id",
-            "old_nbrs",
-            F.when(F.size(new_nbrs) > 0, new_nbrs).alias("new_nbrs"),
-            F.size("gained").alias("n_gained"),
-            F.size("lost").alias("n_lost"),
-        )
+        G.edit(state.adjacency, inserts, deletes)
         .coalesce(N_BATCH_PARTS)
         .localCheckpoint(eager=True)
     )
+    empty = F.array().cast("array<long>")
+    old_nbrs = F.coalesce("old_nbrs", empty)
+    new_nbrs = F.coalesce("new_nbrs", empty)
     n_affected, ends_a, ends_d = vert.agg(
-        F.count("*"), F.sum("n_gained"), F.sum("n_lost")
+        F.count("*"),
+        F.sum(F.size(F.array_except(new_nbrs, old_nbrs))),
+        F.sum(F.size(F.array_except(old_nbrs, new_nbrs))),
     ).first()
     if n_affected == 0:
         return state, UpdateStats(0, 0, 0, 0, 0, 0, 0)
-    # Each diff edge appears at both of its endpoints.
+    # Each added or removed edge appears at both of its endpoints.
     m_a, m_d = ends_a // 2, ends_d // 2
     new_adj = (
         G.apply_edits(state.adjacency, vert)

@@ -34,7 +34,7 @@ class RslpaState:
     labels: DataFrame  # (id, t, label) for t in [0..T]
     n_iters: int
     seed: int
-    epoch: int  # bumps once per applied batch -> fresh re-pick draws
+    epoch: int  # bumps once per batch that changes an edge -> fresh draws
 
 
 N_STATE_PARTS = 16  # state tables are scan-heavy; keep task counts low

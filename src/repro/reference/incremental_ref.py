@@ -62,7 +62,7 @@ class RefState:
     labels: np.ndarray  # (n, T+1)
     n_iters: int
     seed: int
-    epoch: int
+    epoch: int  # bumps once per batch that changes an edge
 
 
 def ref_run_static(edges: pd.DataFrame, n_iters: int, seed: int) -> RefState:
@@ -87,6 +87,13 @@ def ref_apply_batch(
     new_set = {tuple(r) for r in new_edges.to_numpy()}
     removed = old_set - new_set
     added = new_set - old_set
+    if not (removed or added):
+        # Like the Spark engine: the state, its epoch included, is unchanged.
+        return state, dict.fromkeys(
+            ("m_inserted", "m_deleted", "n_affected_vertices", "n_repicked",
+             "n_value_changed", "eta"),
+            0,
+        )
     affected = {v for e in removed | added for v in e}
     g_new = build_graph(new_edges)
     old_index = {int(v): i for i, v in enumerate(state.g.ids)}

@@ -91,32 +91,46 @@ def adj(raw_edges):
     return G.adjacency(G.canonical_edges(raw_edges[0]))
 
 
-def _diff(spark, adj, inserts, deletes):
+def _edit(spark, adj, inserts, deletes):
     frames = (
         None if p is None else spark.createDataFrame(p, "src long, dst long")
         for p in (inserts, deletes)
     )
-    return {tuple(r) for r in G.edit_diff(adj, *frames).collect()}
+    return {
+        (r["id"], *(None if a is None else tuple(a) for a in r[1:]))
+        for r in G.edit(adj, *frames).collect()
+    }
 
 
 class TestApplyEdits:
-    """An edit batch against the adjacency table: ``edit_diff`` finds the
-    edges it really changes, ``apply_edits`` swaps in the changed rows."""
+    """An edit batch against the adjacency table: ``edit`` gives the old and
+    new neighbor arrays of the vertices it changes, ``apply_edits`` swaps in
+    the changed rows."""
 
     def test_insert_delete(self, spark, adj):
         # (2, 3) is both inserted and deleted: deletes win.
-        got = _diff(spark, adj, [(9, 8), (3, 2)], [(2, 1), (2, 3)])
-        assert got == {(8, 9, True), (1, 2, False), (2, 3, False)}
+        got = _edit(spark, adj, [(9, 8), (3, 2)], [(2, 1), (2, 3)])
+        assert got == {
+            (8, None, (9,)),
+            (9, None, (8,)),
+            (1, (2,), None),
+            (2, (1, 3), None),
+            (3, (2, 4), (4,)),
+        }
 
     def test_none_edits_noop(self, spark, adj):
-        assert _diff(spark, adj, None, None) == set()
+        assert _edit(spark, adj, None, None) == set()
 
     def test_insert_existing_is_noop(self, spark, adj):
-        assert _diff(spark, adj, [(2, 1), (3, 4)], None) == set()
+        assert _edit(spark, adj, [(2, 1), (3, 4)], None) == set()
 
     def test_delete_absent_is_noop(self, spark, adj):
         # (1, 3) joins two present vertices, (7, 8) two absent ones.
-        assert _diff(spark, adj, None, [(3, 1), (7, 8)]) == set()
+        assert _edit(spark, adj, None, [(3, 1), (7, 8)]) == set()
+
+    def test_insert_delete_new_vertex_is_noop(self, spark, adj):
+        # 7 is not in the graph; {1,7} is inserted and deleted in one batch.
+        assert _edit(spark, adj, [(1, 7)], [(7, 1)]) == set()
 
     def test_apply_drops_and_adds_vertex(self, spark, adj):
         # Delete {1,2} (vertex 1 drops to degree 0), insert {6,7} (new 7).

@@ -99,6 +99,7 @@ class TestInvariant:
         st2, stats = ref_apply_batch(st, None, None)
         assert stats["eta"] == 0 and stats["n_repicked"] == 0
         assert np.array_equal(st.labels, st2.labels)
+        assert st2.epoch == st.epoch
 
 
 class TestCategories:

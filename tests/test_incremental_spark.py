@@ -89,6 +89,10 @@ def _bit_identical_cases(pdf):
         ),
         ("vertex drops to degree 0", [(_pairs([p3]), leaf_edges)]),
         ("three chained batches", chained),
+        (
+            "a batch that changes nothing, then a random batch",
+            [(_pairs([e0]), None), edit_batch(pdf, 30, seed=9)],
+        ),
     ]
 
 
