@@ -49,6 +49,7 @@ def connected_components(edges: DataFrame) -> DataFrame:
                 F.least(
                     "comp", F.coalesce("nbr_comp", F.col("comp"))
                 ).alias("comp"),
+                F.col("comp").alias("old"),
             )
         )
         # Pointer jump: comp <- comp(comp). Every comp value is a vertex id,
@@ -58,18 +59,12 @@ def connected_components(edges: DataFrame) -> DataFrame:
         )
         jumped = (
             stepped.join(jump, stepped["comp"] == jump["jid"], "inner")
-            .select("id", F.col("jcomp").alias("comp"))
+            .select("id", F.col("jcomp").alias("comp"), "old")
             .localCheckpoint(eager=True)
         )
-        changed = (
-            jumped.alias("n")
-            .join(labels.alias("o"), "id")
-            .where(F.col("n.comp") != F.col("o.comp"))
-            .limit(1)
-            .count()
-        )
+        changed = jumped.where(F.col("comp") != F.col("old")).limit(1).count()
         labels.unpersist()  # superseded checkpoint
         labels = jumped
         if changed == 0:
-            return labels
+            return labels.select("id", "comp")
     raise RuntimeError("connected components did not converge")

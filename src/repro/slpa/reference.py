@@ -1,10 +1,11 @@
 """NumPy reference engine for SLPA — bit-identical to ``repro.slpa.slpa``.
 
 Consumes the same splitmix64 draws (speaker sampling keyed by
-``(t, listener, speaker)``, tie-breaks by ``(t, listener)``) and applies the
-same sorted-ascending tie ordering, so the memory matrix equals the Spark
-engine's memory arrays exactly. Used for the Table I quality sweeps, where
-T=100 over many parameter points would not fit a Spark-local budget.
+``(t, listener, speaker)``) and votes with the same ``plurality_winners``
+kernel (tie-breaks keyed by ``(t, listener)``), so the memory matrix, read
+in long form ``(id, t, label)``, equals the Spark engine's memory table
+exactly. Used for the Table I quality sweeps, where T=100 over many
+parameter points would not fit a Spark-local budget.
 """
 from __future__ import annotations
 
@@ -15,47 +16,7 @@ import pandas as pd
 
 from repro.core import rand
 from repro.reference.rslpa_ref import RefGraph, build_graph
-from repro.slpa.slpa import threshold_communities
-
-
-def plurality_winners(
-    listeners: np.ndarray, labels: np.ndarray, seed: int, t: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-listener plurality label with uniform tie-break (vectorized).
-
-    Ties are ordered ascending and the pick is
-    ``hash_mod(seed, TIE, k, t, listener)`` — byte-compatible with the Spark
-    winner kernel. Returns ``(unique_listeners, winners)`` in listener order.
-    """
-    order = np.lexsort((labels, listeners))
-    l = listeners[order]
-    lab = labels[order]
-    m = len(l)
-    grp_new = np.empty(m, dtype=bool)
-    grp_new[0] = True
-    grp_new[1:] = (l[1:] != l[:-1]) | (lab[1:] != lab[:-1])
-    grp_idx = np.cumsum(grp_new) - 1
-    counts = np.bincount(grp_idx)
-    grp_l = l[grp_new]
-    grp_lab = lab[grp_new]
-    n_grp = len(grp_l)
-    seg_new = np.empty(n_grp, dtype=bool)
-    seg_new[0] = True
-    seg_new[1:] = grp_l[1:] != grp_l[:-1]
-    seg_starts = np.flatnonzero(seg_new)
-    seg_idx = np.cumsum(seg_new) - 1
-    maxc = np.maximum.reduceat(counts, seg_starts)
-    is_tie = counts == maxc[seg_idx]
-    k_ties = np.add.reduceat(is_tie.astype(np.int64), seg_starts)
-    uniq_l = grp_l[seg_starts]
-    pick = rand.hash_mod(seed, rand.TIE, k_ties, t, uniq_l)
-    cs = np.cumsum(is_tie.astype(np.int64))
-    before = np.zeros(len(seg_starts), dtype=np.int64)
-    if len(seg_starts) > 1:
-        before[1:] = cs[seg_starts[1:] - 1]
-    tie_rank = cs - 1 - before[seg_idx]
-    sel = is_tie & (tie_rank == pick[seg_idx])
-    return uniq_l, grp_lab[sel]
+from repro.slpa.slpa import plurality_winners, threshold_communities
 
 
 def run_slpa_ref(

@@ -6,11 +6,10 @@ import pytest
 from repro.core import rand
 from repro.slpa.reference import (
     memory_counts_ref,
-    plurality_winners,
     run_slpa_ref,
     slpa_communities_ref,
 )
-from repro.slpa.slpa import threshold_communities
+from repro.slpa.slpa import plurality_winners, threshold_communities
 
 
 def _naive_winners(listeners, labels, seed, t):

@@ -18,8 +18,8 @@ from repro.reference.rslpa_ref import (
     labels_long,
     propagate,
 )
-from repro.slpa.reference import run_slpa_ref
-from repro.slpa.slpa import memory_counts, run_slpa
+from repro.slpa.reference import run_slpa_ref, slpa_communities_ref
+from repro.slpa.slpa import memory_counts, run_slpa, slpa_communities
 from repro.webgraph.generator import web_graph
 
 T_ITERS = 8
@@ -120,20 +120,34 @@ class TestResolveEquality:
 class TestSlpaEquality:
     def test_memory_bit_identical(self, spark, small_graph):
         df, pdf = small_graph
-        mem = run_slpa(df, 5, SEED).toPandas().sort_values("id")
-        got = np.stack(mem["labels"].map(np.asarray))
+        mem = (
+            run_slpa(df, 5, SEED)
+            .toPandas()
+            .sort_values(["id", "t"])
+            .reset_index(drop=True)
+            .astype("int64")
+        )
         g, ref = run_slpa_ref(pdf, 5, SEED)
-        assert np.array_equal(mem["id"].to_numpy(), g.ids)
-        assert np.array_equal(got, ref)
+        ref = (
+            labels_long(g, ref)
+            .sort_values(["id", "t"])
+            .reset_index(drop=True)
+            .astype("int64")
+        )
+        pd.testing.assert_frame_equal(mem, ref)
+
+    def test_communities_equal_reference(self, spark, small_graph):
+        df, pdf = small_graph
+        got = slpa_communities(run_slpa(df, T_ITERS, SEED), 0.2, T_ITERS)
+        assert got == slpa_communities_ref(pdf, T_ITERS, SEED, 0.2)
 
     def test_memory_counts_oracle(self, spark, small_graph):
         from repro.oracle import assert_equivalent
 
         df, _ = small_graph
         mem = run_slpa(df, 3, SEED)
-        exploded = mem.select("id", F.explode("labels").alias("label"))
         assert_equivalent(
             memory_counts(mem),
             "SELECT id, label, COUNT(*) AS cnt FROM x GROUP BY id, label",
-            x=exploded,
+            x=mem,
         )
