@@ -19,6 +19,8 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.checkpoint import N_STATE_PARTS, materialize, release
+
 MAX_ROUNDS = 64
 
 
@@ -33,9 +35,7 @@ def connected_components(edges: DataFrame) -> DataFrame:
         e.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
     )
     ids = sym.select(F.col("src").alias("id")).distinct()
-    labels = ids.select("id", F.col("id").alias("comp")).localCheckpoint(
-        eager=True
-    )
+    labels, _ = materialize(ids.withColumn("comp", F.col("id")), N_STATE_PARTS)
     for _ in range(MAX_ROUNDS):
         nbr_min = (
             sym.join(labels, sym["dst"] == labels["id"], "inner")
@@ -57,14 +57,15 @@ def connected_components(edges: DataFrame) -> DataFrame:
         jump = stepped.select(
             F.col("id").alias("jid"), F.col("comp").alias("jcomp")
         )
-        jumped = (
-            stepped.join(jump, stepped["comp"] == jump["jid"], "inner")
-            .select("id", F.col("jcomp").alias("comp"), "old")
-            .localCheckpoint(eager=True)
+        jumped, seen = materialize(
+            stepped.join(jump, stepped["comp"] == jump["jid"], "inner").select(
+                "id", F.col("jcomp").alias("comp"), "old"
+            ),
+            N_STATE_PARTS,
+            changed=F.count_if(F.col("comp") != F.col("old")),
         )
-        changed = jumped.where(F.col("comp") != F.col("old")).limit(1).count()
-        labels.unpersist()  # superseded checkpoint
+        release(labels)  # superseded
         labels = jumped
-        if changed == 0:
+        if seen["changed"] == 0:
             return labels.select("id", "comp")
     raise RuntimeError("connected components did not converge")

@@ -18,6 +18,19 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.types import IntegralType
+
+
+def check_ids(edges: DataFrame) -> None:
+    """Raise ``TypeError`` unless ``edges`` has integer ``src`` and ``dst``
+    columns; reads only the schema, so it runs no Spark job."""
+    types = {f.name: f.dataType for f in edges.schema.fields}
+    for name in ("src", "dst"):
+        if not isinstance(types.get(name), IntegralType):
+            got = types[name].simpleString() if name in types else "missing"
+            raise TypeError(
+                f"edge column {name!r} must hold integer vertex ids, got {got}"
+            )
 
 
 def canonical_edges(edges: DataFrame) -> DataFrame:

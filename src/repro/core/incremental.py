@@ -5,11 +5,13 @@ old and new big tables: one **vertex frame** with the old and new neighbor
 arrays of the affected vertices (those whose neighbor array the batch
 changes, built by ``repro.core.graph.edit`` with one lookup of the batch's
 endpoints in the adjacency), the **decision frame** of their (vertex,
-iteration) rows, one **message frontier** per correction round, and the
-**label overlay** built once after the last round. The batch's edge counts
-are one aggregate over the vertex frame, and η one over the overlay. The new
-adjacency table is the old one with the vertex frame's rows swapped in
-(``repro.core.graph.apply_edits``).
+iteration) rows, and one **message frontier** per correction round. The new
+state's tables are each written once, as checkpoints
+(``repro.core.checkpoint``): the adjacency and choice tables with the vertex
+and decision frames' rows swapped in, the label table with every round's
+latest message applied. So a state is plain checkpoints however many
+batches it has seen. The batch's counts are observed on these writes, and
+the per-batch frames are released once the new tables are written.
 
 Dataflow note: these frames are small relative to the label/choice tables,
 so every join against a big table broadcasts the small side explicitly
@@ -71,8 +73,9 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import graph as G
+from repro.core.checkpoint import N_STATE_PARTS, materialize, release
 from repro.core.choices import draw_choices
-from repro.core.rslpa import N_STATE_PARTS, RslpaState
+from repro.core.rslpa import RslpaState
 
 N_BATCH_PARTS = 8  # partitions of every per-batch frame; they are small
 
@@ -96,37 +99,35 @@ def apply_batch(
 ) -> tuple[RslpaState, UpdateStats]:
     """Evolve ``state`` under one batch of edge inserts/deletes.
 
-    The new adjacency table is checkpointed; the new choice and label
-    tables are lazy overlays over the previous state's.
+    Every table of the new state is a checkpoint; ``state``'s own tables
+    are read, never released.
     """
+    for edits in (inserts, deletes):
+        if edits is not None:
+            G.check_ids(edits)
     n_iters, seed = state.n_iters, state.seed
     epoch = state.epoch + 1
 
     # The affected vertices are those whose neighbor array the batch
     # changes. A null ``old_nbrs`` marks a new vertex, a null ``new_nbrs``
-    # one that dropped to degree 0.
-    vert = (
-        G.edit(state.adjacency, inserts, deletes)
-        .coalesce(N_BATCH_PARTS)
-        .localCheckpoint(eager=True)
-    )
+    # one that dropped to degree 0. Each added or removed edge appears at
+    # both of its endpoints.
     empty = F.array().cast("array<long>")
     old_nbrs = F.coalesce("old_nbrs", empty)
     new_nbrs = F.coalesce("new_nbrs", empty)
-    n_affected, ends_a, ends_d = vert.agg(
-        F.count("*"),
-        F.sum(F.size(F.array_except(new_nbrs, old_nbrs))),
-        F.sum(F.size(F.array_except(old_nbrs, new_nbrs))),
-    ).first()
-    if n_affected == 0:
-        return state, UpdateStats(0, 0, 0, 0, 0, 0, 0)
-    # Each added or removed edge appears at both of its endpoints.
-    m_a, m_d = ends_a // 2, ends_d // 2
-    new_adj = (
-        G.apply_edits(state.adjacency, vert)
-        .coalesce(N_STATE_PARTS)
-        .localCheckpoint(eager=True)
+    vert, seen = materialize(
+        G.edit(state.adjacency, inserts, deletes),
+        N_BATCH_PARTS,
+        n_affected=F.count("*"),
+        ends_a=F.sum(F.size(F.array_except(new_nbrs, old_nbrs))),
+        ends_d=F.sum(F.size(F.array_except(old_nbrs, new_nbrs))),
     )
+    n_affected = seen["n_affected"]
+    if n_affected == 0:
+        release(vert)
+        return state, UpdateStats(0, 0, 0, 0, 0, 0, 0)
+    m_a, m_d = seen["ends_a"] // 2, seen["ends_d"] // 2
+    new_adj, _ = materialize(G.apply_edits(state.adjacency, vert), N_STATE_PARTS)
 
     # --- Phase 1: re-pick affected rows -----------------------------------
     # The candidates are Algorithm 1's draw on the new graph at this epoch;
@@ -153,27 +154,24 @@ def apply_batch(
         & F.array_contains("old_nbrs", F.col("src")),
         F.lit(False),
     )
-    dec = (
-        cand.join(old_rows, ["id", "t"], "left")
-        .select(
+    dec, _ = materialize(
+        cand.join(old_rows, ["id", "t"], "left").select(
             "id",
             "t",
             F.when(keep, F.col("old_src")).otherwise(F.col("src")).alias("src"),
             F.when(keep, F.col("old_pos")).otherwise(F.col("pos")).alias("pos"),
             (~keep).alias("changed"),
-        )
-        .coalesce(N_BATCH_PARTS)
-        .localCheckpoint(eager=True)
+        ),
+        N_BATCH_PARTS,
     )
-
-    # The updated choice table stays LAZY: one broadcast anti-join layer
-    # over the old (checkpointed) table plus the small decision frame. Scans
-    # remain cheap and nothing O(T*|V|) is rewritten per batch — the paper's
-    # "only visit vertices close to the changed edges" at the storage level.
-    unaffected = state.choices.join(
-        F.broadcast(vert.select("id")), "id", "left_anti"
+    # The new choice table: the old one with the affected vertices' rows
+    # swapped for the decision frame's.
+    new_choices, _ = materialize(
+        state.choices.join(
+            F.broadcast(vert.select("id")), "id", "left_anti"
+        ).unionByName(dec.select("id", "t", "src", "pos")),
+        N_STATE_PARTS,
     )
-    new_choices = unaffected.unionByName(dec.select("id", "t", "src", "pos"))
 
     # --- Phase 2: Correction Propagation ----------------------------------
     # Lazy pre-update snapshot: old labels minus dropped vertices, plus
@@ -188,10 +186,7 @@ def apply_batch(
         "id",
         "left_anti",
     ).unionByName(new_vertex_rows)
-    init_view = labels_init.select(
-        F.col("id").alias("lid"), F.col("t").alias("lt"),
-        F.col("label").alias("llabel"),
-    )
+    init_view = labels_init.toDF("lid", "lt", "llabel")
 
     # Round 0: re-picked rows fetch their new source label from the snapshot
     # (every other row still holds its old value, and stale reads are
@@ -203,45 +198,41 @@ def apply_batch(
     # re-notified whenever their source was rewritten, and the t-monotone
     # receiver DAG bounds the cascade by the propagation tree depth
     # (O(log T) expected, <= T worst case). Only the frontier is kept per
-    # round; the overlay is built once after the loop.
+    # round; the label table is written once after the loop.
     frontier = dec.where("changed")
-    dirty = (
+    dirty, seen = materialize(
         F.broadcast(frontier)
         .join(
             init_view,
             (frontier["src"] == init_view["lid"])
             & (frontier["pos"] == init_view["lt"]),
         )
-        .select("id", "t", F.col("llabel").alias("label"))
-        .coalesce(N_BATCH_PARTS)
-        .localCheckpoint(eager=True)
+        .select("id", "t", F.col("llabel").alias("label")),
+        N_BATCH_PARTS,
+        n_dirty=F.count("*"),
     )
     waves = [dirty.withColumn("round", F.lit(0))]
-    n_dirty = n_repicked = dirty.count()
+    n_repicked = seen["n_dirty"]
     round_deltas: List[int] = []
-    while n_dirty > 0:
+    while seen["n_dirty"] > 0:
         if len(round_deltas) > n_iters + 1:
             raise RuntimeError("correction propagation did not converge")
-        round_deltas.append(n_dirty)
-        sources = dirty.select(
-            F.col("id").alias("sid"),
-            F.col("t").alias("st"),
-            F.col("label").alias("slabel"),
-        )
-        dirty = (
+        round_deltas.append(seen["n_dirty"])
+        sources = dirty.toDF("sid", "st", "slabel")
+        dirty, seen = materialize(
             new_choices.join(
                 F.broadcast(sources),
                 (new_choices["src"] == sources["sid"])
                 & (new_choices["pos"] == sources["st"]),
-            )
-            .select(new_choices["id"], "t", F.col("slabel").alias("label"))
-            .coalesce(N_BATCH_PARTS)
-            .localCheckpoint(eager=True)
+            ).select(new_choices["id"], "t", F.col("slabel").alias("label")),
+            N_BATCH_PARTS,
+            n_dirty=F.count("*"),
         )
         waves.append(dirty.withColumn("round", F.lit(len(round_deltas))))
-        n_dirty = dirty.count()
 
-    # Latest write wins; a row written in round 0 is a re-picked one.
+    # Latest write wins; a row written in round 0 is a re-picked one. η
+    # counts on the label write: only overlaid rows can differ from the
+    # snapshot, and every re-picked row is overlaid.
     overlay = (
         reduce(DataFrame.unionByName, waves)
         .groupBy("id", "t")
@@ -249,23 +240,19 @@ def apply_batch(
             F.max_by("label", "round").alias("new_label"),
             (F.min("round") == 0).alias("repicked"),
         )
-        .coalesce(N_BATCH_PARTS)
-        .localCheckpoint(eager=True)
     )
-    # η: only overlaid rows can differ from the snapshot, and every
-    # re-picked row is overlaid.
     value_changed = F.col("new_label") != F.col("label")
-    n_value_changed, eta = (
-        labels_init.join(F.broadcast(overlay), ["id", "t"])
-        .agg(
-            F.count_if(value_changed),
-            F.count_if(value_changed | F.col("repicked")),
-        )
-        .first()
+    labels, seen = materialize(
+        labels_init.join(F.broadcast(overlay), ["id", "t"], "left"),
+        N_STATE_PARTS,
+        "id",
+        "t",
+        F.coalesce("new_label", "label").alias("label"),
+        n_value_changed=F.count_if(value_changed),
+        eta=F.count_if(value_changed | F.col("repicked")),
     )
-    labels = labels_init.join(
-        F.broadcast(overlay.select("id", "t", "new_label")), ["id", "t"], "left"
-    ).select("id", "t", F.coalesce("new_label", "label").alias("label"))
+    for done in [vert, dec, *waves]:
+        release(done)
 
     new_state = replace(
         state,
@@ -279,8 +266,8 @@ def apply_batch(
         m_deleted=m_d,
         n_affected_vertices=n_affected,
         n_repicked=n_repicked,
-        n_value_changed=n_value_changed,
-        eta=eta,
+        n_value_changed=seen["n_value_changed"],
+        eta=seen["eta"],
         rounds=len(round_deltas),
         round_deltas=round_deltas,
     )

@@ -35,6 +35,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.cc.components import connected_components
+from repro.core.checkpoint import N_STATE_PARTS, materialize, release
 from repro.metrics.entropy import size_entropy
 
 
@@ -192,7 +193,7 @@ def postprocess(
     n_candidates: int = 8,
 ) -> PostprocessResult:
     """Full Section III-B pipeline; returns communities and thresholds."""
-    weights = edge_weights(edges, labels, n_iters).localCheckpoint(eager=True)
+    weights, _ = materialize(edge_weights(edges, labels, n_iters), N_STATE_PARTS)
     tau2, n_vertices = tau2_and_n_vertices(weights)
     distinct_w = [
         int(r["w_int"]) for r in weights.select("w_int").distinct().collect()
@@ -206,9 +207,11 @@ def postprocess(
         [(tau, size_entropy(s, n_vertices)) for tau, s in sizes.items()]
     )
     strong = comps.where(F.col("tau") == tau1).select("comp", "id")
-    communities = extract_communities(weights, strong, tau2).localCheckpoint(
-        eager=True
+    communities, _ = materialize(
+        extract_communities(weights, strong, tau2), N_STATE_PARTS
     )
+    release(weights)
+    release(comps)  # the last connected-components round
     return PostprocessResult(
         communities=communities, tau1_int=tau1, tau2_int=tau2, n_iters=n_iters
     )

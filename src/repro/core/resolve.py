@@ -23,6 +23,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import choices as C
+from repro.core.checkpoint import N_STATE_PARTS, materialize, release
 
 MAX_ROUNDS = 64  # far above log2 of any feasible T
 
@@ -34,40 +35,32 @@ def resolve_labels(adjacency: DataFrame, choice_table: DataFrame) -> DataFrame:
     ``choice_table`` is the output of ``repro.core.choices.draw_choices``
     (or its incrementally-maintained successor).
     """
-    state = (
-        choice_table.select(
-            "id", "t", F.col("src").alias("cid"), F.col("pos").alias("ct")
-        )
-        .unionByName(
-            C.base_rows(adjacency).select(
-                "id", "t", F.col("src").alias("cid"), F.col("pos").alias("ct")
-            )
-        )
-        .localCheckpoint(eager=True)
+    pointers = ("id", "t", F.col("src").alias("cid"), F.col("pos").alias("ct"))
+    pending = F.count_if(F.col("ct") > 0)
+    state, seen = materialize(
+        choice_table.select(*pointers).unionByName(
+            C.base_rows(adjacency).select(*pointers)
+        ),
+        N_STATE_PARTS,
+        pending=pending,
     )
     for _ in range(MAX_ROUNDS):
-        pending = state.where(F.col("ct") > 0).limit(1).count()
-        if pending == 0:
+        if seen["pending"] == 0:
             break
-        nxt = state.select(
-            F.col("id").alias("jid"),
-            F.col("t").alias("jt"),
-            F.col("cid").alias("ncid"),
-            F.col("ct").alias("nct"),
-        )
+        nxt = state.toDF("jid", "jt", "ncid", "nct")
         prev = state
-        state = (
+        state, seen = materialize(
             state.join(
                 nxt,
                 (state["cid"] == nxt["jid"]) & (state["ct"] == nxt["jt"]),
                 "inner",
-            )
-            .select(
+            ).select(
                 "id", "t", F.col("ncid").alias("cid"), F.col("nct").alias("ct")
-            )
-            .localCheckpoint(eager=True)
+            ),
+            N_STATE_PARTS,
+            pending=pending,
         )
-        prev.unpersist()  # drop the superseded checkpoint's cached blocks
+        release(prev)
     else:  # pragma: no cover
         raise RuntimeError("pointer doubling did not converge")
     return state.select("id", "t", F.col("cid").alias("label"))

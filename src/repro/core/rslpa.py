@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 
 from repro.core import graph as G
+from repro.core.checkpoint import N_STATE_PARTS, materialize, release
 from repro.core.choices import draw_choices
 from repro.core.postprocess import PostprocessResult, postprocess
 from repro.core.resolve import resolve_labels
@@ -37,26 +38,14 @@ class RslpaState:
     epoch: int  # bumps once per batch that changes an edge -> fresh draws
 
 
-N_STATE_PARTS = 16  # state tables are scan-heavy; keep task counts low
-
-
 def run_static(edges: DataFrame, n_iters: int, seed: int) -> RslpaState:
     """Algorithm 1 from scratch on a static graph."""
-    adj = (
-        G.adjacency(G.canonical_edges(edges))
-        .coalesce(N_STATE_PARTS)
-        .localCheckpoint(eager=True)
-    )
-    choices = (
-        draw_choices(adj, n_iters, seed, epoch=0)
-        .coalesce(N_STATE_PARTS)
-        .localCheckpoint(eager=True)
-    )
-    labels = (
-        resolve_labels(adj, choices)
-        .coalesce(N_STATE_PARTS)
-        .localCheckpoint(eager=True)
-    )
+    G.check_ids(edges)
+    adj, _ = materialize(G.adjacency(G.canonical_edges(edges)), N_STATE_PARTS)
+    choices, _ = materialize(draw_choices(adj, n_iters, seed, 0), N_STATE_PARTS)
+    resolved = resolve_labels(adj, choices)
+    labels, _ = materialize(resolved, N_STATE_PARTS)
+    release(resolved)  # the last pointer-doubling round
     return RslpaState(
         adjacency=adj,
         choices=choices,

@@ -29,7 +29,7 @@ from pyspark.sql import functions as F
 
 from repro.core import graph as G
 from repro.core import rand
-from repro.core.rslpa import N_STATE_PARTS
+from repro.core.checkpoint import N_STATE_PARTS, materialize, release
 
 
 def plurality_winners(
@@ -115,17 +115,18 @@ def run_slpa(edges: DataFrame, n_iters: int, seed: int) -> DataFrame:
     One row per vertex and ``t ∈ [0..T]``; row ``t`` is the label the
     vertex appended at iteration ``t`` (``t = 0``: its own id).
     """
-    pairs = (
-        G.symmetrize(G.canonical_edges(edges))
-        .select(F.col("id").alias("listener"), F.col("nbr").alias("speaker"))
-        .localCheckpoint(eager=True)
-    )
-    mem = (
+    G.check_ids(edges)
+    sym = G.symmetrize(G.canonical_edges(edges))
+    pairs, _ = materialize(sym.toDF("listener", "speaker"), N_STATE_PARTS)
+    mem, _ = materialize(
         pairs.select(F.col("listener").alias("id"))
         .distinct()
-        .select("id", F.lit(0).alias("t"), F.col("id").alias("label"))
-        .localCheckpoint(eager=True)
+        .select("id", F.lit(0).alias("t"), F.col("id").alias("label")),
+        N_STATE_PARTS,
     )
+    # Each union adds the iteration's partitions; every write coalesces back
+    # to the t = 0 memory's count, so thresholding reads few partitions.
+    n_parts = mem.rdd.getNumPartitions()
     for t in range(1, n_iters + 1):
         sent = pairs.mapInPandas(
             _send_kernel(seed, t), schema="listener long, id long, t int"
@@ -138,11 +139,10 @@ def run_slpa(edges: DataFrame, n_iters: int, seed: int) -> DataFrame:
         won = heard.mapInPandas(
             _vote_kernel(seed, t), schema="id long, t int, label long"
         )
-        mem = (
-            mem.unionByName(won)
-            .coalesce(N_STATE_PARTS)
-            .localCheckpoint(eager=True)
-        )
+        prev = mem
+        mem, _ = materialize(mem.unionByName(won), n_parts)
+        release(prev)
+    release(pairs)
     return mem
 
 

@@ -36,6 +36,11 @@ def base(spark):
     return st, pdf
 
 
+def _is_checkpoint(df):
+    """A bare checkpoint: its analyzed plan is one ``LogicalRDD`` leaf."""
+    return df._jdf.queryExecution().analyzed().nodeName() == "LogicalRDD"
+
+
 def _nbrs(st):
     return {int(r["id"]): list(r["nbrs"]) for r in st.adjacency.collect()}
 
@@ -71,7 +76,7 @@ def _bit_identical_cases(pdf):
     new_id = ids[-1] + 100
     chained = []
     cur = edges
-    for seed in (11, 12, 13):
+    for seed in range(11, 17):
         ins, dele = edit_batch(cur, 20, seed=seed)
         chained.append((ins, dele))
         cur = apply_edits_pdf(cur, ins, dele)
@@ -88,7 +93,7 @@ def _bit_identical_cases(pdf):
             [(_pairs([(ids[3], ids[3]), p2, p2[::-1]]), _pairs([e3[::-1], e3]))],
         ),
         ("vertex drops to degree 0", [(_pairs([p3]), leaf_edges)]),
-        ("three chained batches", chained),
+        ("six chained batches", chained),
         (
             "a batch that changes nothing, then a random batch",
             [(_pairs([e0]), None), edit_batch(pdf, 30, seed=9)],
@@ -121,6 +126,8 @@ class TestApplyBatch:
                 got = {k: getattr(stats, k) for k in rstats}
                 assert got == rstats, name
                 assert st2.epoch == rst2.epoch, name
+                for table in (st2.adjacency, st2.choices, st2.labels):
+                    assert _is_checkpoint(table), name
 
     def test_incremental_equals_scratch(self, spark, base):
         """The paper's headline claim as an exact invariant: the maintained

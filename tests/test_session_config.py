@@ -1,0 +1,76 @@
+"""Bit-identity under a second session config: adaptive query execution
+off and 7 shuffle partitions. The draws are partition-independent by
+design, so labels, chained updates (their observed counts included) and the
+SLPA memory must equal the references under any partitioning."""
+import pandas as pd
+import pytest
+
+from repro.core.incremental import apply_batch
+from repro.core.rslpa import run_static
+from repro.reference.incremental_ref import (
+    apply_edits_pdf,
+    ref_apply_batch,
+    ref_run_static,
+)
+from repro.reference.rslpa_ref import labels_long
+from repro.slpa.reference import run_slpa_ref
+from repro.slpa.slpa import run_slpa
+from repro.webgraph.generator import edit_batch, web_graph
+
+T_ITERS = 6
+SEED = 5
+CONF = {"spark.sql.adaptive.enabled": "false", "spark.sql.shuffle.partitions": "7"}
+
+
+def _sorted(pdf):
+    return pdf.sort_values(["id", "t"]).reset_index(drop=True).astype("int64")
+
+
+@pytest.fixture(scope="module")
+def second_config(spark):
+    saved = {k: spark.conf.get(k) for k in CONF}
+    for k, v in CONF.items():
+        spark.conf.set(k, v)
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            spark.conf.set(k, v)
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return web_graph(n=200, avg_degree=6, seed=3)
+
+
+def test_static_labels(spark, second_config, graph):
+    st = run_static(spark.createDataFrame(graph), T_ITERS, SEED)
+    ref = ref_run_static(graph, T_ITERS, SEED)
+    pd.testing.assert_frame_equal(
+        _sorted(st.labels.toPandas()), _sorted(labels_long(ref.g, ref.labels))
+    )
+
+
+def test_chained_apply_batch(spark, second_config, graph):
+    st = run_static(spark.createDataFrame(graph), T_ITERS, SEED)
+    ref = ref_run_static(graph, T_ITERS, SEED)
+    cur = graph
+    for seed in (21, 22, 23):
+        ins, dele = edit_batch(cur, 20, seed=seed)
+        cur = apply_edits_pdf(cur, ins, dele)
+        st, stats = apply_batch(
+            st, spark.createDataFrame(ins), spark.createDataFrame(dele)
+        )
+        ref, ref_stats = ref_apply_batch(ref, ins, dele)
+        pd.testing.assert_frame_equal(
+            _sorted(st.labels.toPandas()), _sorted(labels_long(ref.g, ref.labels))
+        )
+        assert {k: getattr(stats, k) for k in ref_stats} == ref_stats
+
+
+def test_slpa_memory(spark, second_config, graph):
+    mem = run_slpa(spark.createDataFrame(graph), T_ITERS, SEED)
+    g, ref = run_slpa_ref(graph, T_ITERS, SEED)
+    pd.testing.assert_frame_equal(
+        _sorted(mem.toPandas()), _sorted(labels_long(g, ref))
+    )

@@ -136,6 +136,11 @@ class TestSlpaEquality:
         )
         pd.testing.assert_frame_equal(mem, ref)
 
+    def test_memory_keeps_its_partition_count(self, spark, small_graph):
+        df, _ = small_graph
+        n_parts = run_slpa(df, 0, SEED).rdd.getNumPartitions()
+        assert run_slpa(df, 6, SEED).rdd.getNumPartitions() == n_parts
+
     def test_communities_equal_reference(self, spark, small_graph):
         df, pdf = small_graph
         got = slpa_communities(run_slpa(df, T_ITERS, SEED), 0.2, T_ITERS)
