@@ -30,3 +30,19 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def checkpoints(spark, monkeypatch):
+    """One entry per ``localCheckpoint`` call made in the test: the
+    iterative loops checkpoint once up front and once per round."""
+    frame_type = type(spark.range(0))  # the session's concrete DataFrame
+    calls = []
+    orig = frame_type.localCheckpoint
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(frame_type, "localCheckpoint", counted)
+    return calls

@@ -41,8 +41,7 @@ def run(spark: SparkSession, n: int, t_slpa: int, seed: int) -> Dict[str, float]
     t_rslpa = 2 * t_slpa  # the paper's iteration ratio (100 vs 200)
 
     t0 = time.time()
-    mem = run_slpa(edges, t_slpa, seed)
-    mem.localCheckpoint(eager=True).count()
+    mem = run_slpa(edges, t_slpa, seed)  # returns an eager checkpoint
     slpa_lp = time.time() - t0
     t0 = time.time()
     slpa_comms = slpa_communities(mem, tau=0.2, n_iters=t_slpa)

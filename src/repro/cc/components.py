@@ -3,25 +3,61 @@
 The paper's post-processing finds connected components of the τ-filtered
 similarity graph and cites the logarithmic-round MapReduce CC of Chitnis et
 al. [18]. We implement the classic *min-label propagation with pointer
-jumping*: every vertex holds a candidate component label (initially its own
-id); each round takes the min over its neighborhood and then jumps the
-pointer (``comp ← comp(comp)``), which yields the same O(log)-round behavior
-on the graphs at hand while being straightforward to prove monotone and
-convergent. The union-find oracle in ``repro.cc.reference`` checks it.
+jumping* after one **local contraction** pass (Łącki et al., 2018):
+
+1. each partition of the edge frame runs the union-find of
+   ``repro.cc.reference`` over its own edges and emits one row
+   ``(v, local min)`` per vertex it saw. These star rows connect exactly
+   what the partition's edges connect, so the star graph has the same
+   components as the input; it is checkpointed once;
+2. every vertex starts from the min over its star rows, and each round takes
+   the min over its star neighborhood and then jumps the pointer
+   (``comp ← comp(comp)``), which is monotone and convergent and shows
+   O(log)-round behavior on the graphs at hand.
+
+When one partition holds all the edges, the local pass already finds every
+component and a single round confirms it. The union-find oracle in
+``repro.cc.reference`` checks the result.
 
 Vertex ids may be of any orderable type, structs included: the τ1 sweep of
 ``repro.core.postprocess`` keys each vertex by ``(tau, id)`` and so finds the
-components of every candidate-filtered graph in one run. The edge-weight
-filter (paper Section V-B2) lives in that layered edge frame, not here.
+components of every candidate-filtered graph in one run. ``mapInPandas``
+hands structs over as dicts; their value tuples order like Spark's structs.
+The edge-weight filter (paper Section V-B2) lives in that layered edge frame,
+not here.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
+from repro.cc.reference import UnionFind
 from repro.core.checkpoint import N_STATE_PARTS, materialize, release
 
 MAX_ROUNDS = 64
+
+
+def _keys(col: pd.Series) -> list:
+    """Hashable vertex keys; struct ids arrive as dicts."""
+    return [tuple(v.values()) if isinstance(v, dict) else v for v in col]
+
+
+def _local_stars(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    """``(id, comp)`` rows: each vertex of the partition with the min id of
+    its component in the partition's own edges."""
+    uf = UnionFind()
+    for pdf in batches:
+        for u, v in zip(_keys(pdf["src"]), _keys(pdf["dst"])):
+            uf.add(u)
+            uf.add(v)
+            uf.union(u, v)
+    rows = [(v, root) for root, vs in uf.components().items() for v in vs]
+    if rows:
+        yield pd.DataFrame(rows, columns=["id", "comp"])
 
 
 def connected_components(edges: DataFrame) -> DataFrame:
@@ -30,13 +66,22 @@ def connected_components(edges: DataFrame) -> DataFrame:
     Returns ``(id, comp)`` for every vertex with an edge, where ``comp`` is
     the minimum vertex id of its component; ids may be of any orderable type.
     """
-    e = edges.select("src", "dst")
+    id_type = edges.schema["src"].dataType
+    stars, _ = materialize(
+        edges.select("src", "dst").mapInPandas(
+            _local_stars,
+            T.StructType(
+                [T.StructField("id", id_type), T.StructField("comp", id_type)]
+            ),
+        ),
+        N_STATE_PARTS,
+    )
+    e = stars.select(F.col("id").alias("src"), F.col("comp").alias("dst"))
     sym = e.unionByName(
         e.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
     )
-    ids = sym.select(F.col("src").alias("id")).distinct()
-    labels, _ = materialize(ids.withColumn("comp", F.col("id")), N_STATE_PARTS)
-    for _ in range(MAX_ROUNDS):
+    labels = stars.groupBy("id").agg(F.min("comp").alias("comp"))
+    for i in range(MAX_ROUNDS):
         nbr_min = (
             sym.join(labels, sym["dst"] == labels["id"], "inner")
             .groupBy(sym["src"].alias("id"))
@@ -64,8 +109,10 @@ def connected_components(edges: DataFrame) -> DataFrame:
             N_STATE_PARTS,
             changed=F.count_if(F.col("comp") != F.col("old")),
         )
-        release(labels)  # superseded
+        if i:
+            release(labels)  # superseded; the first labels read ``stars``
         labels = jumped
         if seen["changed"] == 0:
+            release(stars)
             return labels.select("id", "comp")
     raise RuntimeError("connected components did not converge")

@@ -1,8 +1,9 @@
 """Union-find connected components — correctness oracle and sweep engine.
 
-Two uses:
+Three uses:
 
 * oracle for the distributed CC of ``repro.cc.components`` (tests);
+* the local contraction pass of that CC, over each partition's edges;
 * the τ1 sweep of the reference rSLPA engine: candidates are processed in
   *descending* threshold order so edges are only ever added, and one
   union-find instance amortizes the whole sweep.

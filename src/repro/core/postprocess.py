@@ -193,12 +193,14 @@ def postprocess(
     n_candidates: int = 8,
 ) -> PostprocessResult:
     """Full Section III-B pipeline; returns communities and thresholds."""
-    weights, _ = materialize(edge_weights(edges, labels, n_iters), N_STATE_PARTS)
+    # At most (T+1)^2 + 1 distinct integer weights, observed on the write.
+    weights, seen = materialize(
+        edge_weights(edges, labels, n_iters),
+        N_STATE_PARTS,
+        distinct_w=F.collect_set("w_int"),
+    )
     tau2, n_vertices = tau2_and_n_vertices(weights)
-    distinct_w = [
-        int(r["w_int"]) for r in weights.select("w_int").distinct().collect()
-    ]
-    cands = candidate_taus(distinct_w, tau2, n_candidates)
+    cands = candidate_taus(seen["distinct_w"], tau2, n_candidates)
     comps = layered_components(weights, cands)
     sizes: Dict[int, List[int]] = {tau: [] for tau in cands}
     for r in comps.groupBy("tau", "comp").count().collect():

@@ -1,5 +1,6 @@
 """Tests for distributed connected components (repro.cc.components)."""
 import pandas as pd
+import pytest
 from pyspark.sql import functions as F
 
 from repro.cc.components import connected_components
@@ -28,6 +29,22 @@ class TestConnectedComponents:
         pdf = pd.DataFrame({"src": range(80), "dst": range(1, 81)})
         out = _labels_of(connected_components(spark.createDataFrame(pdf)))
         assert set(out.values()) == {0} and len(out) == 81
+
+    @pytest.mark.parametrize(
+        "pdf",
+        [
+            pd.DataFrame({"src": range(80), "dst": range(1, 81)}),
+            web_graph(n=400, avg_degree=3, seed=3),
+        ],
+        ids=["path80", "web400"],
+    )
+    def test_global_rounds_finish_split_components(self, spark, checkpoints, pdf):
+        # Eight partitions split the components between union-finds, so the
+        # global min-label rounds must join what each partition found.
+        e = spark.createDataFrame(pdf).repartition(8)
+        out = _labels_of(connected_components(e))
+        assert out == component_labels([tuple(r) for r in pdf.to_numpy()], set())
+        assert len(checkpoints) > 2  # the star rows, then two or more rounds
 
     def test_layers_sharing_ids_stay_separate(self, spark):
         # Keyed by (tau, id): layer 0 has 1-2 and 3-4, layer 1 has 2-3.

@@ -7,7 +7,7 @@ from pyspark.sql import functions as F
 
 from repro.core.checkpoint import materialize, release
 from repro.core.incremental import apply_batch
-from repro.core.rslpa import run_static
+from repro.core.rslpa import detect_communities, run_static
 from repro.webgraph.generator import edit_batch, web_graph
 
 
@@ -67,6 +67,16 @@ def test_run_static_stores_only_its_tables(spark, edges):
     st = run_static(edges, 5, 3)
     tables = {_rdd_id(t) for t in (st.adjacency, st.choices, st.labels)}
     assert _stored(spark) - before == tables
+
+
+def test_detect_communities_stores_only_its_communities(spark, edges):
+    st = run_static(edges, 5, 3)
+    state = {_rdd_id(t) for t in (st.adjacency, st.choices, st.labels)}
+    before = _stored(spark)
+    res = detect_communities(st)
+    stored = _stored(spark)
+    assert stored - before == {_rdd_id(res.communities)}
+    assert state <= stored  # the input state is never released
 
 
 def test_apply_batch_stores_only_its_tables(spark, edges):

@@ -99,6 +99,23 @@ class TestResolveEquality:
         )
         pd.testing.assert_frame_equal(sp, ref)
 
+    def test_labels_bit_identical_across_partitions(
+        self, spark, small_graph, checkpoints
+    ):
+        # Eight partitions cut the pointer chains, so the global doubling
+        # rounds must finish what each partition's local pass started.
+        df, pdf = small_graph
+        adj = adjacency(canonical_edges(df))
+        ch = draw_choices(adj, T_ITERS, SEED).repartition(8)
+        sp = resolve_labels(adj, ch).toPandas().sort_values(["id", "t"])
+        g, _, _, labels = propagate(pdf, T_ITERS, SEED)
+        ref = labels_long(g, labels).sort_values(["id", "t"])
+        pd.testing.assert_frame_equal(
+            sp.reset_index(drop=True).astype("int64"),
+            ref.reset_index(drop=True).astype("int64"),
+        )
+        assert len(checkpoints) > 1  # the local pass, then global rounds
+
     def test_anchor_rows(self, spark, small_graph):
         df, _ = small_graph
         e = canonical_edges(df)
