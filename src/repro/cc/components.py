@@ -9,15 +9,16 @@ jumping* after one **local contraction** pass (Łącki et al., 2018):
    ``repro.cc.reference`` over its own edges and emits one row
    ``(v, local min)`` per vertex it saw. These star rows connect exactly
    what the partition's edges connect, so the star graph has the same
-   components as the input; it is checkpointed once;
-2. every vertex starts from the min over its star rows, and each round takes
-   the min over its star neighborhood and then jumps the pointer
-   (``comp ← comp(comp)``), which is monotone and convergent and shows
-   O(log)-round behavior on the graphs at hand.
+   components as the input. They are checkpointed once, grouped per vertex
+   into its sorted star centers ``(id, comps)``;
+2. if that write observes no vertex with two centers (always so when one
+   partition holds all the edges), the stars are the components and no
+   round runs. Otherwise every vertex starts from its smallest center, and
+   each round takes the min over its star neighborhood and then jumps the
+   pointer (``comp ← comp(comp)``), which is monotone and convergent and
+   shows O(log)-round behavior on the graphs at hand.
 
-When one partition holds all the edges, the local pass already finds every
-component and a single round confirms it. The union-find oracle in
-``repro.cc.reference`` checks the result.
+The union-find oracle in ``repro.cc.reference`` checks the result.
 
 Vertex ids may be of any orderable type, structs included: the τ1 sweep of
 ``repro.core.postprocess`` keys each vertex by ``(tau, id)`` and so finds the
@@ -67,20 +68,24 @@ def connected_components(edges: DataFrame) -> DataFrame:
     the minimum vertex id of its component; ids may be of any orderable type.
     """
     id_type = edges.schema["src"].dataType
-    stars, _ = materialize(
-        edges.select("src", "dst").mapInPandas(
-            _local_stars,
-            T.StructType(
-                [T.StructField("id", id_type), T.StructField("comp", id_type)]
-            ),
-        ),
-        N_STATE_PARTS,
+    schema = T.StructType(
+        [T.StructField("id", id_type), T.StructField("comp", id_type)]
     )
-    e = stars.select(F.col("id").alias("src"), F.col("comp").alias("dst"))
+    stars, seen = materialize(
+        edges.select("src", "dst")
+        .mapInPandas(_local_stars, schema)
+        .groupBy("id")
+        .agg(F.array_sort(F.collect_set("comp")).alias("comps")),
+        N_STATE_PARTS,
+        split=F.count_if(F.size("comps") > 1),
+    )
+    labels = stars.select("id", F.col("comps")[0].alias("comp"))
+    if seen["split"] == 0:
+        return labels
+    e = stars.select(F.col("id").alias("src"), F.explode("comps").alias("dst"))
     sym = e.unionByName(
         e.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
     )
-    labels = stars.groupBy("id").agg(F.min("comp").alias("comp"))
     for i in range(MAX_ROUNDS):
         nbr_min = (
             sym.join(labels, sym["dst"] == labels["id"], "inner")

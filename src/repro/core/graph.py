@@ -52,12 +52,13 @@ def symmetrize(edges: DataFrame) -> DataFrame:
 
 
 def adjacency(edges: DataFrame) -> DataFrame:
-    """Per-vertex sorted neighbor array of canonical ``edges``: columns
-    ``id``, ``nbrs``."""
+    """Per-vertex sorted neighbor array of the undirected graph on ``edges``
+    (self-loops and duplicates dropped, in either orientation): columns
+    ``id``, ``nbrs``. One shuffle builds it."""
     return (
-        symmetrize(edges)
+        symmetrize(_oriented(edges))
         .groupBy("id")
-        .agg(F.array_sort(F.collect_list("nbr")).alias("nbrs"))
+        .agg(F.array_sort(F.collect_set("nbr")).alias("nbrs"))
     )
 
 

@@ -7,7 +7,10 @@ Pipeline:
    ``w_ij = Σ_l f_i(l)·f_j(l) / (T+1)^2``. We carry the *integer* match count
    ``w_int = Σ_l f_i(l)·f_j(l)`` everywhere (thresholds included) so the
    Spark and NumPy engines agree bit-for-bit — floats appear only in reports.
-2. **τ2 = min_i max_j w_ij** (Eq. 2, "no isolated vertex").
+   Each vertex's histogram, a ``map<label, count>``, is joined onto both
+   directions of every edge; one write keeps that ``(a, b, w_int)`` table.
+2. **τ2 = min_i max_j w_ij** (Eq. 2, "no isolated vertex"), |V| and the
+   distinct weights are observed on that write, at no Spark job of their own.
 3. **τ1 = argmax of community-size entropy** (Eq. 1) over a candidate grid.
    The paper enumerates [τ2, max w] at step 0.001; here the grid is thinned
    to ``n_candidates`` values. Each edge gets one copy per candidate
@@ -31,11 +34,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.cc.components import connected_components
 from repro.core.checkpoint import N_STATE_PARTS, materialize, release
+from repro.core.graph import symmetrize
 from repro.metrics.entropy import size_entropy
 
 
@@ -69,64 +73,65 @@ def select_tau1(
     return int(best_tau)
 
 
-def edge_weights(edges: DataFrame, labels: DataFrame, n_iters: int) -> DataFrame:
-    """Per-edge similarity: ``(src, dst, w_int, w)`` with
-    ``w = w_int/(T+1)^2``; edges with no common label get ``w_int = 0``."""
-    counts = labels.groupBy("id", "label").agg(F.count("*").alias("cnt"))
-    cs = counts.select(
-        F.col("id").alias("src"), "label", F.col("cnt").alias("cnt_s")
+def edge_weights(edges: DataFrame, labels: DataFrame) -> DataFrame:
+    """Both directions of every edge with its integer weight
+    ``w_int = Σ_l f_a(l)·f_b(l)``: rows ``(a, b, w_int)``."""
+    hist = (
+        labels.groupBy("id", "label")
+        .count()
+        .groupBy("id")
+        .agg(F.map_from_entries(F.collect_list(F.struct("label", "count"))))
+        .toDF("id", "h")
     )
-    cd = counts.select(
-        F.col("id").alias("dst"), "label", F.col("cnt").alias("cnt_d")
+    ha, hb = F.col("ha"), F.col("hb")
+    w_int = F.aggregate(
+        F.map_keys(ha),
+        F.lit(0).cast("long"),
+        lambda acc, k: acc + ha[k] * F.coalesce(hb[k], F.lit(0)),
     )
-    matched = (
-        edges.join(cs, "src")
-        .join(cd, ["dst", "label"])
-        .groupBy("src", "dst")
-        .agg(F.sum(F.col("cnt_s") * F.col("cnt_d")).alias("w_int"))
-    )
-    denom = float((n_iters + 1) ** 2)
     return (
-        edges.join(matched, ["src", "dst"], "left")
-        .select(
-            "src",
-            "dst",
-            F.coalesce("w_int", F.lit(0)).cast("long").alias("w_int"),
-        )
-        .withColumn("w", F.col("w_int") / F.lit(denom))
+        symmetrize(edges)
+        .join(hist.toDF("id", "ha"), "id")
+        .join(hist.toDF("nbr", "hb"), "nbr")
+        .select(F.col("id").alias("a"), F.col("nbr").alias("b"), w_int.alias("w_int"))
     )
 
 
-def tau2_and_n_vertices(weights: DataFrame) -> Tuple[int, int]:
-    """Eq. 2 on integer weights (min over vertices of max incident w_int)
-    and the number of vertices, from one per-vertex aggregate."""
-    sym = weights.select(F.col("src").alias("id"), "w_int").unionByName(
-        weights.select(F.col("dst").alias("id"), "w_int")
+def write_weights(weights: DataFrame) -> Tuple[DataFrame, int, int, List[int]]:
+    """Checkpoint the ``(a, b, w_int)`` table; returns it with τ2 (Eq. 2: min
+    over vertices of max incident ``w_int``), the number of vertices and the
+    distinct weights (at most (T+1)^2 + 1), all observed on that write."""
+    # The join on ``b`` already partitions the rows by ``b``: no shuffle.
+    by_b = Window.partitionBy("b")
+    first = F.col("a") == F.min("a").over(by_b)  # one row per vertex
+    mx = F.max("w_int").over(by_b)
+    table, seen = materialize(
+        weights.select("*", mx.alias("mx"), first.alias("first")),
+        N_STATE_PARTS,
+        "a",
+        "b",
+        "w_int",
+        tau2=F.coalesce(F.min("mx"), F.lit(0)),
+        n_vertices=F.count_if("first"),
+        distinct_w=F.collect_set("w_int"),
     )
-    row = (
-        sym.groupBy("id")
-        .agg(F.max("w_int").alias("mx"))
-        .agg(F.min("mx").alias("t2"), F.count("*").alias("n"))
-        .collect()[0]
-    )
-    t2 = int(row["t2"]) if row["t2"] is not None else 0
-    return t2, int(row["n"])
+    return table, seen["tau2"], seen["n_vertices"], seen["distinct_w"]
 
 
 def layered_components(weights: DataFrame, taus: Sequence[int]) -> DataFrame:
     """Components of every ``w_int ≥ τ`` graph, ``τ`` in ``taus``, from one CC
-    run: rows ``(tau, id, comp)``. Vertex keys are ``(tau, id)`` structs, so
-    the layers share no vertex and stay separate."""
-    layered = weights.select(
-        F.explode(F.array(*[F.lit(t) for t in taus])).alias("tau"),
-        "src",
-        "dst",
-        "w_int",
-    ).where(F.col("w_int") >= F.col("tau"))
+    run over the ``a < b`` half of ``weights``: rows ``(tau, id, comp)``.
+    Vertex keys are ``(tau, id)`` structs, so the layers share no vertex and
+    stay separate."""
+    layered = (
+        weights.where(F.col("a") < F.col("b"))
+        .select(F.explode(F.array(*[F.lit(t) for t in taus])).alias("tau"), "*")
+        .where(F.col("w_int") >= F.col("tau"))
+    )
     comps = connected_components(
         layered.select(
-            F.struct("tau", F.col("src").alias("id")).alias("src"),
-            F.struct("tau", F.col("dst").alias("id")).alias("dst"),
+            F.struct("tau", F.col("a").alias("id")).alias("src"),
+            F.struct("tau", F.col("b").alias("id")).alias("dst"),
         )
     )
     return comps.select(
@@ -165,21 +170,13 @@ class PostprocessResult:
 def extract_communities(
     weights: DataFrame, strong: DataFrame, tau2_int: int
 ) -> DataFrame:
-    """Strong members ``(comp, id)`` plus their weak attachments at τ2:
-    rows (comp, id)."""
-    sym = weights.select(
-        F.col("src").alias("a"), F.col("dst").alias("b"), "w_int"
-    ).unionByName(
-        weights.select(F.col("dst").alias("a"), F.col("src").alias("b"), "w_int")
-    )
+    """Strong members ``(comp, id)`` plus their weak attachments at τ2 over
+    the ``(a, b, w_int)`` table: rows (comp, id)."""
     member_ids = strong.select("id").distinct()
     weak = (
-        sym.where(F.col("w_int") >= F.lit(tau2_int))
+        weights.where(F.col("w_int") >= F.lit(tau2_int))
         .join(member_ids.withColumnRenamed("id", "a"), "a", "left_anti")
-        .join(
-            strong.select(F.col("id").alias("b"), "comp"),
-            "b",
-        )
+        .join(strong.select(F.col("id").alias("b"), "comp"), "b")
         .select(F.col("a").alias("id"), "comp")
         .distinct()
     )
@@ -193,14 +190,8 @@ def postprocess(
     n_candidates: int = 8,
 ) -> PostprocessResult:
     """Full Section III-B pipeline; returns communities and thresholds."""
-    # At most (T+1)^2 + 1 distinct integer weights, observed on the write.
-    weights, seen = materialize(
-        edge_weights(edges, labels, n_iters),
-        N_STATE_PARTS,
-        distinct_w=F.collect_set("w_int"),
-    )
-    tau2, n_vertices = tau2_and_n_vertices(weights)
-    cands = candidate_taus(seen["distinct_w"], tau2, n_candidates)
+    weights, tau2, n_vertices, distinct_w = write_weights(edge_weights(edges, labels))
+    cands = candidate_taus(distinct_w, tau2, n_candidates)
     comps = layered_components(weights, cands)
     sizes: Dict[int, List[int]] = {tau: [] for tau in cands}
     for r in comps.groupBy("tau", "comp").count().collect():

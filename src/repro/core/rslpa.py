@@ -41,7 +41,7 @@ class RslpaState:
 def run_static(edges: DataFrame, n_iters: int, seed: int) -> RslpaState:
     """Algorithm 1 from scratch on a static graph."""
     G.check_ids(edges)
-    adj, _ = materialize(G.adjacency(G.canonical_edges(edges)), N_STATE_PARTS)
+    adj, _ = materialize(G.adjacency(edges), N_STATE_PARTS)
     choices, _ = materialize(draw_choices(adj, n_iters, seed, 0), N_STATE_PARTS)
     resolved = resolve_labels(adj, choices)
     labels, _ = materialize(resolved, N_STATE_PARTS)

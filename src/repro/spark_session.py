@@ -3,8 +3,10 @@ pytest session fixture in ``conftest.py``.
 
 Both get the same memory sizing (driver memory must be fixed before the JVM
 starts, hence the env-var dance) and the same session configs: shuffle
-partitions, Arrow, and broadcast joins disabled (explicit ``F.broadcast``
-hints still apply where an algorithm calls for them).
+partitions, Arrow, broadcast joins disabled (explicit ``F.broadcast``
+hints still apply where an algorithm calls for them), and no DataFrame
+call-site capture (a stack walk and py4j calls per DataFrame or Column
+call, for the context of Spark's error messages).
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ def local_session(app_name: str):
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.python.sql.dataFrameDebugging.enabled", "false")
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

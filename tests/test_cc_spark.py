@@ -8,6 +8,12 @@ from repro.cc.reference import component_labels
 from repro.webgraph.generator import web_graph
 
 
+GRAPHS = [
+    pd.DataFrame({"src": range(80), "dst": range(1, 81)}),
+    web_graph(n=400, avg_degree=3, seed=3),
+]
+
+
 def _labels_of(df):
     return {int(r["id"]): int(r["comp"]) for r in df.collect()}
 
@@ -30,14 +36,7 @@ class TestConnectedComponents:
         out = _labels_of(connected_components(spark.createDataFrame(pdf)))
         assert set(out.values()) == {0} and len(out) == 81
 
-    @pytest.mark.parametrize(
-        "pdf",
-        [
-            pd.DataFrame({"src": range(80), "dst": range(1, 81)}),
-            web_graph(n=400, avg_degree=3, seed=3),
-        ],
-        ids=["path80", "web400"],
-    )
+    @pytest.mark.parametrize("pdf", GRAPHS, ids=["path80", "web400"])
     def test_global_rounds_finish_split_components(self, spark, checkpoints, pdf):
         # Eight partitions split the components between union-finds, so the
         # global min-label rounds must join what each partition found.
@@ -45,6 +44,15 @@ class TestConnectedComponents:
         out = _labels_of(connected_components(e))
         assert out == component_labels([tuple(r) for r in pdf.to_numpy()], set())
         assert len(checkpoints) > 2  # the star rows, then two or more rounds
+
+    @pytest.mark.parametrize("pdf", GRAPHS, ids=["path80", "web400"])
+    def test_one_partition_needs_no_round(self, spark, checkpoints, pdf):
+        # One union-find sees every edge, so each vertex has one star center
+        # and the star rows are the answer: one checkpoint, no round.
+        e = spark.createDataFrame(pdf).coalesce(1)
+        out = _labels_of(connected_components(e))
+        assert out == component_labels([tuple(r) for r in pdf.to_numpy()], set())
+        assert len(checkpoints) == 1
 
     def test_layers_sharing_ids_stay_separate(self, spark):
         # Keyed by (tau, id): layer 0 has 1-2 and 3-4, layer 1 has 2-3.

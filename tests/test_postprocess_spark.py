@@ -1,6 +1,7 @@
 """Tests for the Spark post-processing (repro.core.postprocess): DuckDB
-oracle on the weight join-aggregate, threshold semantics, and exact
-equality of the full pipeline against the reference engine."""
+oracle on the two-direction weight table, the values observed on its write,
+threshold semantics, exact equality of the full pipeline against the
+reference engine, and the Spark job count of one detection."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -11,16 +12,23 @@ from repro.core.postprocess import (
     edge_weights,
     extract_communities,
     layered_components,
-    tau2_and_n_vertices,
+    write_weights,
 )
 from repro.core.rslpa import detect_communities, run_static
 from repro.oracle import assert_equivalent
-from repro.reference.postprocess_ref import _strong_cover, postprocess_ref
+from repro.reference.postprocess_ref import (
+    _strong_cover,
+    edge_weights_ref,
+    label_counts,
+    postprocess_ref,
+    tau2_int_ref,
+)
 from repro.reference.rslpa_ref import propagate
 from repro.webgraph.generator import web_graph
 
 T_ITERS = 8
 SEED = 5
+DETECT_JOBS = 15  # Spark jobs of one detect_communities on ``state``
 
 
 @pytest.fixture(scope="module")
@@ -34,19 +42,22 @@ class TestEdgeWeights:
     def test_oracle(self, spark, state):
         st, _ = state
         edges = edge_list(st.adjacency)
-        w = edge_weights(edges, st.labels, T_ITERS).select("src", "dst", "w_int")
+        w = edge_weights(edges, st.labels)
         assert_equivalent(
             w,
             """
             WITH counts AS (
                 SELECT id, label, COUNT(*) AS cnt FROM labels GROUP BY id, label
+            ), sym AS (
+                SELECT src AS a, dst AS b FROM e
+                UNION ALL SELECT dst AS a, src AS b FROM e
             )
-            SELECT e.src, e.dst,
-                   COALESCE(SUM(cs.cnt * cd.cnt), 0) AS w_int
-            FROM e
-            LEFT JOIN counts cs ON cs.id = e.src
-            LEFT JOIN counts cd ON cd.id = e.dst AND cd.label = cs.label
-            GROUP BY e.src, e.dst
+            SELECT s.a, s.b,
+                   COALESCE(SUM(ca.cnt * cb.cnt), 0) AS w_int
+            FROM sym s
+            LEFT JOIN counts ca ON ca.id = s.a
+            LEFT JOIN counts cb ON cb.id = s.b AND cb.label = ca.label
+            GROUP BY s.a, s.b
             """,
             e=edges,
             labels=st.labels,
@@ -54,36 +65,70 @@ class TestEdgeWeights:
 
     def test_weight_normalization(self, state):
         st, _ = state
-        w = edge_weights(edge_list(st.adjacency), st.labels, T_ITERS).toPandas()
-        assert ((0 <= w["w"]) & (w["w"] <= 1)).all()
-        assert (w["w"] * (T_ITERS + 1) ** 2 - w["w_int"]).abs().max() < 1e-9
+        w = edge_weights(edge_list(st.adjacency), st.labels).toPandas()
+        assert ((0 <= w["w_int"]) & (w["w_int"] <= (T_ITERS + 1) ** 2)).all()
+        res = detect_communities(st, n_candidates=6)
+        for tau, tau_int in ((res.tau1, res.tau1_int), (res.tau2, res.tau2_int)):
+            assert 0.0 <= tau <= 1.0
+            assert abs(tau * (T_ITERS + 1) ** 2 - tau_int) < 1e-9
 
     def test_self_similarity_is_max(self, spark):
         # Identical twin vertices (same neighborhood) get near-max weight.
         pdf = pd.DataFrame({"src": [1, 1, 2, 2], "dst": [2, 3, 3, 4]})
         st = run_static(spark.createDataFrame(pdf), 2, 0)
-        w = edge_weights(edge_list(st.adjacency), st.labels, 2).toPandas()
+        w = edge_weights(edge_list(st.adjacency), st.labels).toPandas()
         assert (w["w_int"] <= 9).all()
 
     def test_tau2(self, spark):
+        # The path 0-1-2-3 in both directions.
         w = spark.createDataFrame(
             pd.DataFrame(
-                {"src": [0, 1, 2], "dst": [1, 2, 3], "w_int": [10, 5, 8]}
+                {
+                    "a": [0, 1, 1, 2, 2, 3],
+                    "b": [1, 0, 2, 1, 3, 2],
+                    "w_int": [10, 10, 5, 5, 8, 8],
+                }
             )
         )
         # max incident: v0=10, v1=10, v2=8, v3=8 -> τ2 = 8 over 4 vertices.
-        assert tau2_and_n_vertices(w) == (8, 4)
+        _, tau2, n_vertices, distinct_w = write_weights(w)
+        assert (tau2, n_vertices, sorted(distinct_w)) == (8, 4, [5, 8, 10])
+
+    def test_observed_values_match_reference(self, spark, state):
+        # Without AQE's partition coalescing the write keeps several
+        # partitions, so every observed value merges per-partition parts.
+        st, pdf = state
+        edges = edge_list(st.adjacency)
+        key = "spark.sql.adaptive.coalescePartitions.enabled"
+        saved = spark.conf.get(key)
+        spark.conf.set(key, "false")
+        try:
+            table, tau2, n_vertices, distinct_w = write_weights(
+                edge_weights(edges, st.labels.repartition(8))
+            )
+        finally:
+            spark.conf.set(key, saved)
+        assert table.rdd.getNumPartitions() > 1
+        g, _, _, labels = propagate(pdf, T_ITERS, SEED)
+        ref = edge_weights_ref(edges.toPandas(), label_counts(g, labels))
+        assert tau2 == tau2_int_ref(ref)
+        assert n_vertices == g.n
+        assert sorted(distinct_w) == sorted(ref["w_int"].unique())
+        assert table.count() == 2 * len(ref)
 
 
 class TestLayeredComponents:
     def test_each_candidate_matches_reference(self, state):
         st, _ = state
-        weights = edge_weights(
-            edge_list(st.adjacency), st.labels, T_ITERS
-        ).localCheckpoint(eager=True)
-        pw = weights.select("src", "dst", "w_int").toPandas()
-        tau2, _ = tau2_and_n_vertices(weights)
-        cands = candidate_taus(pw["w_int"].unique(), tau2, 6)
+        weights, tau2, _, distinct_w = write_weights(
+            edge_weights(edge_list(st.adjacency), st.labels)
+        )
+        pw = (
+            weights.where(F.col("a") < F.col("b"))
+            .select(F.col("a").alias("src"), F.col("b").alias("dst"), "w_int")
+            .toPandas()
+        )
+        cands = candidate_taus(distinct_w, tau2, 6)
         out = layered_components(weights, cands).toPandas()
         per_tau = {
             tau: {comp: set(g["id"]) for comp, g in layer.groupby("comp")}
@@ -101,12 +146,13 @@ class TestLayeredComponents:
 class TestExtractCommunities:
     @pytest.fixture(scope="class")
     def weights(self, spark):
+        # Edges 0-1 and 2-3 at 10, 1-4 and 3-4 at 4, in both directions.
         return spark.createDataFrame(
             pd.DataFrame(
                 {
-                    "src": [0, 2, 1, 3],
-                    "dst": [1, 3, 4, 4],
-                    "w_int": [10, 10, 4, 4],
+                    "a": [0, 1, 2, 3, 1, 4, 3, 4],
+                    "b": [1, 0, 3, 2, 4, 1, 4, 3],
+                    "w_int": [10, 10, 10, 10, 4, 4, 4, 4],
                 }
             )
         )
@@ -159,3 +205,19 @@ class TestFullPipelineEquality:
         cover = detect_communities(st, n_candidates=6).cover()
         assert any(len(c & set(range(6))) >= 5 for c in cover)
         assert any(len(c & set(range(6, 12))) >= 5 for c in cover)
+
+
+def test_detect_communities_job_count(spark, state):
+    # One job group around one detection, counted like
+    # test_checkpoint::test_observed_counts_cost_no_job. The count was
+    # measured when τ2, |V| and the distinct weights moved onto the weight
+    # write and CC stopped confirming a local pass that settled every vertex;
+    # a job that comes back for either fails here.
+    st, _ = state
+    sc = spark.sparkContext
+    sc.setJobGroup("detect", "detect")
+    try:
+        detect_communities(st, n_candidates=6)
+    finally:
+        sc.setJobGroup("", "")
+    assert len(sc.statusTracker().getJobIdsForGroup("detect")) == DETECT_JOBS

@@ -1,12 +1,15 @@
 """Bit-identity under a second session config: adaptive query execution
 off and 7 shuffle partitions. The draws are partition-independent by
-design, so labels, chained updates (their observed counts included) and the
-SLPA memory must equal the references under any partitioning."""
+design, so labels, chained updates (their observed counts included), the
+detected communities and the SLPA memory must equal the references under
+any partitioning. Here the weight table keeps 7 partitions, so connected
+components must run its global rounds."""
 import pandas as pd
 import pytest
 
 from repro.core.incremental import apply_batch
-from repro.core.rslpa import run_static
+from repro.core.rslpa import detect_communities, run_static
+from repro.reference.postprocess_ref import postprocess_ref
 from repro.reference.incremental_ref import (
     apply_edits_pdf,
     ref_apply_batch,
@@ -49,6 +52,18 @@ def test_static_labels(spark, second_config, graph):
     pd.testing.assert_frame_equal(
         _sorted(st.labels.toPandas()), _sorted(labels_long(ref.g, ref.labels))
     )
+
+
+def test_detect_communities(spark, second_config, graph, checkpoints):
+    st = run_static(spark.createDataFrame(graph), T_ITERS, SEED)
+    checkpoints.clear()
+    res = detect_communities(st, n_candidates=4)
+    ref = ref_run_static(graph, T_ITERS, SEED)
+    cover, tau1, tau2 = postprocess_ref(graph, ref.g, ref.labels, n_candidates=4)
+    assert (res.tau1_int, res.tau2_int) == (tau1, tau2)
+    assert {frozenset(c) for c in res.cover()} == {frozenset(c) for c in cover}
+    # weights, stars, one or more rounds, communities
+    assert len(checkpoints) > 3
 
 
 def test_chained_apply_batch(spark, second_config, graph):
