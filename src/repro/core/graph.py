@@ -3,11 +3,12 @@
 The paper operates on binary graphs (undirected, unweighted, no self-loops,
 no multi-edges). The one stored form of a graph is the **adjacency table**:
 one row per degree >= 1 vertex with its sorted neighbor array (``id``,
-``nbrs``); ``edge_list`` derives the canonical edges (``src < dst``) from it
-lazily. An edit batch changes it in two steps: ``edit`` turns the batch
-into the old and new neighbor arrays of every vertex whose array it changes
-(one lookup of the batch's endpoints in the adjacency), and ``apply_edits``
-swaps those new rows in.
+``nbrs``), built from raw edges by ``adjacency``. Every Spark path reads
+it; one ``explode`` of ``nbrs`` gives both directions of every edge. An
+edit batch changes it in two steps: ``edit`` turns the batch into the old
+and new neighbor arrays of every vertex whose array it changes (one lookup
+of the batch's endpoints in the adjacency), and ``apply_edits`` swaps those
+new rows in.
 
 The sorted neighbor array is load-bearing: Algorithm 1 picks
 ``src_i^t = nbrs_i[h mod deg_i]``, and sortedness makes the pick a pure
@@ -33,21 +34,12 @@ def check_ids(edges: DataFrame) -> None:
             )
 
 
-def canonical_edges(edges: DataFrame) -> DataFrame:
-    """Drop self-loops and duplicates; orient every edge ``src < dst``."""
-    return _oriented(edges).distinct()
-
-
-def _oriented(edges: DataFrame) -> DataFrame:
-    lo = F.least("src", "dst").alias("src")
-    hi = F.greatest("src", "dst").alias("dst")
-    return edges.select(lo, hi).where(F.col("src") != F.col("dst"))
-
-
-def symmetrize(edges: DataFrame) -> DataFrame:
-    """Both directions of each canonical edge: columns ``id``, ``nbr``."""
-    fwd = edges.select(F.col("src").alias("id"), F.col("dst").alias("nbr"))
-    rev = edges.select(F.col("dst").alias("id"), F.col("src").alias("nbr"))
+def _both_ways(edges: DataFrame) -> DataFrame:
+    """Both directions of each edge, self-loops dropped: columns ``id``,
+    ``nbr``. Duplicates stay; their consumers drop them as sets."""
+    e = edges.where(F.col("src") != F.col("dst"))
+    fwd = e.select(F.col("src").alias("id"), F.col("dst").alias("nbr"))
+    rev = e.select(F.col("dst").alias("id"), F.col("src").alias("nbr"))
     return fwd.unionByName(rev)
 
 
@@ -56,17 +48,10 @@ def adjacency(edges: DataFrame) -> DataFrame:
     (self-loops and duplicates dropped, in either orientation): columns
     ``id``, ``nbrs``. One shuffle builds it."""
     return (
-        symmetrize(_oriented(edges))
+        _both_ways(edges)
         .groupBy("id")
         .agg(F.array_sort(F.collect_set("nbr")).alias("nbrs"))
     )
-
-
-def edge_list(adjacency: DataFrame) -> DataFrame:
-    """The canonical edges (``src < dst``) of an adjacency table."""
-    return adjacency.select(
-        F.col("id").alias("src"), F.explode("nbrs").alias("dst")
-    ).where(F.col("src") < F.col("dst"))
 
 
 def edit(
@@ -83,9 +68,7 @@ def edit(
         F.col("id").alias("src"), F.col("id").alias("dst")
     ).where(F.lit(False))
     ins, dele = (
-        symmetrize(_oriented(none if e is None else e)).withColumn(
-            "ins", F.lit(i)
-        )
+        _both_ways(none if e is None else e).withColumn("ins", F.lit(i))
         for e, i in ((inserts, True), (deletes, False))
     )
     # A batch is small: one partition groups it without a shuffle.

@@ -8,7 +8,8 @@ Pipeline:
    ``w_int = Σ_l f_i(l)·f_j(l)`` everywhere (thresholds included) so the
    Spark and NumPy engines agree bit-for-bit — floats appear only in reports.
    Each vertex's histogram, a ``map<label, count>``, is joined onto both
-   directions of every edge; one write keeps that ``(a, b, w_int)`` table.
+   directions of every edge, which one ``explode`` of the adjacency table
+   gives; one write keeps that ``(a, b, w_int)`` table.
 2. **τ2 = min_i max_j w_ij** (Eq. 2, "no isolated vertex"), |V| and the
    distinct weights are observed on that write, at no Spark job of their own.
 3. **τ1 = argmax of community-size entropy** (Eq. 1) over a candidate grid.
@@ -39,7 +40,6 @@ from pyspark.sql import functions as F
 
 from repro.cc.components import connected_components
 from repro.core.checkpoint import N_STATE_PARTS, materialize, release
-from repro.core.graph import symmetrize
 from repro.metrics.entropy import size_entropy
 
 
@@ -73,8 +73,8 @@ def select_tau1(
     return int(best_tau)
 
 
-def edge_weights(edges: DataFrame, labels: DataFrame) -> DataFrame:
-    """Both directions of every edge with its integer weight
+def edge_weights(adjacency: DataFrame, labels: DataFrame) -> DataFrame:
+    """Both directions of every edge of ``adjacency`` with its integer weight
     ``w_int = Σ_l f_a(l)·f_b(l)``: rows ``(a, b, w_int)``."""
     hist = (
         labels.groupBy("id", "label")
@@ -90,7 +90,7 @@ def edge_weights(edges: DataFrame, labels: DataFrame) -> DataFrame:
         lambda acc, k: acc + ha[k] * F.coalesce(hb[k], F.lit(0)),
     )
     return (
-        symmetrize(edges)
+        adjacency.select("id", F.explode("nbrs").alias("nbr"))
         .join(hist.toDF("id", "ha"), "id")
         .join(hist.toDF("nbr", "hb"), "nbr")
         .select(F.col("id").alias("a"), F.col("nbr").alias("b"), w_int.alias("w_int"))
@@ -172,10 +172,9 @@ def extract_communities(
 ) -> DataFrame:
     """Strong members ``(comp, id)`` plus their weak attachments at τ2 over
     the ``(a, b, w_int)`` table: rows (comp, id)."""
-    member_ids = strong.select("id").distinct()
     weak = (
         weights.where(F.col("w_int") >= F.lit(tau2_int))
-        .join(member_ids.withColumnRenamed("id", "a"), "a", "left_anti")
+        .join(strong.select(F.col("id").alias("a")), "a", "left_anti")
         .join(strong.select(F.col("id").alias("b"), "comp"), "b")
         .select(F.col("a").alias("id"), "comp")
         .distinct()
@@ -184,13 +183,16 @@ def extract_communities(
 
 
 def postprocess(
-    edges: DataFrame,
+    adjacency: DataFrame,
     labels: DataFrame,
     n_iters: int,
     n_candidates: int = 8,
 ) -> PostprocessResult:
-    """Full Section III-B pipeline; returns communities and thresholds."""
-    weights, tau2, n_vertices, distinct_w = write_weights(edge_weights(edges, labels))
+    """Full Section III-B pipeline over the graph's adjacency table; returns
+    communities and thresholds."""
+    weights, tau2, n_vertices, distinct_w = write_weights(
+        edge_weights(adjacency, labels)
+    )
     cands = candidate_taus(distinct_w, tau2, n_candidates)
     comps = layered_components(weights, cands)
     sizes: Dict[int, List[int]] = {tau: [] for tau in cands}

@@ -27,8 +27,8 @@ from repro.core.resolve import resolve_labels
 class RslpaState:
     """Everything rSLPA must retain between batches (paper Section IV).
 
-    The graph is stored once, as its adjacency table; ``graph.edge_list``
-    derives the edges from it when the post-processing needs them."""
+    The graph is stored once, as its adjacency table, which the
+    post-processing also reads."""
 
     adjacency: DataFrame  # (id, sorted nbrs) for degree >= 1 vertices
     choices: DataFrame  # (id, t, src, pos) for t in [1..T]
@@ -61,8 +61,5 @@ def detect_communities(
 ) -> PostprocessResult:
     """Section III-B post-processing over the current label table."""
     return postprocess(
-        G.edge_list(state.adjacency),
-        state.labels,
-        state.n_iters,
-        n_candidates=n_candidates,
+        state.adjacency, state.labels, state.n_iters, n_candidates=n_candidates
     )

@@ -21,19 +21,10 @@ import pandas as pd
 from repro.reference.rslpa_ref import (
     RefGraph,
     build_graph,
+    canon_pdf,
     draw_choice_matrices,
     resolve_label_matrix,
 )
-
-
-def canon_pdf(edges: pd.DataFrame) -> pd.DataFrame:
-    """Canonical (src < dst, deduped, no loops) pandas edge list."""
-    src = edges["src"].to_numpy(dtype=np.int64)
-    dst = edges["dst"].to_numpy(dtype=np.int64)
-    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    keep = lo != hi
-    pairs = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-    return pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1]})
 
 
 def apply_edits_pdf(

@@ -17,7 +17,7 @@ import pandas as pd
 from repro.cc.reference import UnionFind
 from repro.core.postprocess import candidate_taus, select_tau1
 from repro.metrics.entropy import size_entropy
-from repro.reference.rslpa_ref import RefGraph
+from repro.reference.rslpa_ref import RefGraph, canon_pdf
 
 
 def label_counts(g: RefGraph, labels: np.ndarray) -> pd.DataFrame:
@@ -126,14 +126,7 @@ def postprocess_ref(
 ) -> Tuple[List[Set[int]], int, int]:
     """Full reference post-processing: returns (cover, τ1_int, τ2_int)."""
     counts = label_counts(g, labels)
-    canon = pd.DataFrame(
-        {
-            "src": np.minimum(edges["src"], edges["dst"]),
-            "dst": np.maximum(edges["src"], edges["dst"]),
-        }
-    )
-    canon = canon[canon["src"] != canon["dst"]].drop_duplicates()
-    weights = edge_weights_ref(canon, counts)
+    weights = edge_weights_ref(canon_pdf(edges), counts)
     tau2 = tau2_int_ref(weights)
     cands = candidate_taus(weights["w_int"].unique(), tau2, n_candidates)
     entropies = sweep_entropies(weights, cands, g.n)

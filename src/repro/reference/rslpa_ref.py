@@ -59,24 +59,29 @@ class RefGraph:
         }
 
 
-def build_graph(edges: pd.DataFrame) -> RefGraph:
-    """CSR graph from a canonical edge list (columns ``src``, ``dst``).
-
-    Applies the same canonicalization as ``repro.core.graph``: self-loops and
-    duplicate (unordered) pairs dropped. Degree-0 vertices do not exist by
-    construction (every id appears in some edge).
-    """
+def canon_pdf(edges: pd.DataFrame) -> pd.DataFrame:
+    """Canonical (src < dst, deduped, no loops) pandas edge list, sorted."""
     src = edges["src"].to_numpy(dtype=np.int64)
     dst = edges["dst"].to_numpy(dtype=np.int64)
     lo, hi = np.minimum(src, dst), np.maximum(src, dst)
     keep = lo != hi
     pairs = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
+    return pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1]})
+
+
+def build_graph(edges: pd.DataFrame) -> RefGraph:
+    """CSR graph from an edge list (columns ``src``, ``dst``).
+
+    Self-loops and duplicate (unordered) pairs are dropped (``canon_pdf``),
+    so the graph equals ``repro.core.graph.adjacency`` of the same edges.
+    Degree-0 vertices do not exist by construction (every id appears in
+    some edge).
+    """
+    pairs = canon_pdf(edges).to_numpy()
     both = np.concatenate([pairs, pairs[:, ::-1]], axis=0)
     order = np.lexsort((both[:, 1], both[:, 0]))
     both = both[order]
-    ids, start_idx, counts = np.unique(
-        both[:, 0], return_index=True, return_counts=True
-    )
+    ids, counts = np.unique(both[:, 0], return_counts=True)
     offsets = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return RefGraph(ids=ids, offsets=offsets, nbrs_flat=both[:, 1].copy())

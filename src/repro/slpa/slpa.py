@@ -8,12 +8,14 @@ uniformly). After T iterations, labels below frequency threshold τ are
 dropped and the surviving labels name the (overlapping) communities.
 
 This is the O(|E|)-messages-per-iteration baseline that rSLPA's Algorithm 1
-reduces to O(|V|). The memory is the long table ``(id, t, label)`` that
-rSLPA uses for its labels. Per iteration a ``mapInPandas`` over the
-(listener, speaker) pairs picks, from ids alone, the memory slot ``t`` each
-speaker sends; one join on ``(id, t)`` fetches that single label per pair,
-so one label per edge direction travels. The listener's vote is the
-vectorized ``plurality_winners`` kernel, shared with ``repro.slpa.reference``.
+reduces to O(|V|). The graph is the sorted adjacency table that rSLPA
+keeps, and the memory is the long table ``(id, t, label)`` that rSLPA uses
+for its labels. Per iteration a ``mapInPandas`` over the (listener,
+speaker) pairs, one ``explode`` of the adjacency, picks from ids alone the
+memory slot ``t`` each speaker sends; one join on ``(id, t)`` fetches that
+single label per pair, so one label per edge direction travels. The
+listener's vote is the vectorized ``plurality_winners`` kernel, shared with
+``repro.slpa.reference``.
 All sampling and tie-breaking uses the shared splitmix64 draws
 (`repro.core.rand`), keyed by ``(iteration, listener[, speaker])``, so the
 reference reproduces this engine bit-for-bit.
@@ -116,12 +118,12 @@ def run_slpa(edges: DataFrame, n_iters: int, seed: int) -> DataFrame:
     vertex appended at iteration ``t`` (``t = 0``: its own id).
     """
     G.check_ids(edges)
-    sym = G.symmetrize(G.canonical_edges(edges))
-    pairs, _ = materialize(sym.toDF("listener", "speaker"), N_STATE_PARTS)
+    adj, _ = materialize(G.adjacency(edges), N_STATE_PARTS)
+    pairs = adj.select(
+        F.col("id").alias("listener"), F.explode("nbrs").alias("speaker")
+    )
     mem, _ = materialize(
-        pairs.select(F.col("listener").alias("id"))
-        .distinct()
-        .select("id", F.lit(0).alias("t"), F.col("id").alias("label")),
+        adj.select("id", F.lit(0).alias("t"), F.col("id").alias("label")),
         N_STATE_PARTS,
     )
     # Each union adds the iteration's partitions; every write coalesces back
@@ -142,7 +144,7 @@ def run_slpa(edges: DataFrame, n_iters: int, seed: int) -> DataFrame:
         prev = mem
         mem, _ = materialize(mem.unionByName(won), n_parts)
         release(prev)
-    release(pairs)
+    release(adj)
     return mem
 
 

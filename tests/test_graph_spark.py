@@ -19,76 +19,56 @@ def raw_edges(spark):
     return spark.createDataFrame(pdf), pdf
 
 
-class TestCanonicalEdges:
-    def test_orientation(self, raw_edges):
-        df, _ = raw_edges
-        out = G.canonical_edges(df).toPandas()
-        assert (out["src"] < out["dst"]).all()
-
-    def test_dedup_and_loops(self, raw_edges):
-        df, _ = raw_edges
-        out = G.canonical_edges(df).toPandas()
-        # {1,2}, {2,3}, {3,4}, {5,6} — loops (1,1),(5,5) dropped, dups merged.
-        assert len(out) == 4
-
-    def test_oracle(self, raw_edges):
-        df, pdf = raw_edges
-        assert_equivalent(
-            G.canonical_edges(df),
-            """
-            SELECT DISTINCT LEAST(src, dst) AS src, GREATEST(src, dst) AS dst
-            FROM e WHERE src <> dst
-            """,
-            e=pdf,
-        )
-
-
-class TestSymmetrizeDegrees:
-    def test_symmetrize_doubles(self, raw_edges):
-        df, _ = raw_edges
-        e = G.canonical_edges(df)
-        assert G.symmetrize(e).count() == 2 * e.count()
-
-
 class TestAdjacency:
+    """``adjacency`` is the one canonicalization of raw input edges."""
+
     def test_sorted_arrays(self, raw_edges):
         df, _ = raw_edges
-        adj = G.adjacency(G.canonical_edges(df)).toPandas()
+        adj = G.adjacency(df).toPandas()
         by_id = {int(r["id"]): list(r["nbrs"]) for _, r in adj.iterrows()}
         assert by_id[3] == [2, 4]
         assert by_id[2] == [1, 3]
         assert all(v == sorted(v) for v in by_id.values())
 
-    def test_matches_degrees(self, raw_edges):
+    def test_dedup_and_loops(self, raw_edges):
+        # {1,2} is given as (1,2) and (2,1): one neighbor each way. The
+        # self-loops (1,1) and (5,5) leave no neighbor.
         df, _ = raw_edges
-        e = G.canonical_edges(df)
-        adj = G.adjacency(e).select(
-            "id", F.size("nbrs").alias("degree")
+        by_id = {r["id"]: list(r["nbrs"]) for r in G.adjacency(df).collect()}
+        assert by_id[1] == [2]
+        assert by_id[5] == [6]
+        assert by_id[2].count(1) == 1
+
+    def test_oracle(self, raw_edges):
+        df, pdf = raw_edges
+        assert_equivalent(
+            G.adjacency(df).select("id", F.explode("nbrs").alias("nbr")),
+            """
+            SELECT src AS id, dst AS nbr FROM e WHERE src <> dst
+            UNION SELECT dst AS id, src AS nbr FROM e WHERE src <> dst
+            """,
+            e=pdf,
         )
+
+    def test_matches_degrees(self, raw_edges):
+        df, pdf = raw_edges
+        adj = G.adjacency(df).select("id", F.size("nbrs").alias("degree"))
         assert_equivalent(
             adj,
             """
-            SELECT id, COUNT(*) AS degree FROM (
-                SELECT src AS id FROM e UNION ALL SELECT dst AS id FROM e
-            ) GROUP BY id
+            SELECT id, COUNT(DISTINCT nbr) AS degree FROM (
+                SELECT src AS id, dst AS nbr FROM e
+                UNION ALL SELECT dst AS id, src AS nbr FROM e
+            ) WHERE id <> nbr GROUP BY id
             """,
-            e=e,
-        )
-
-
-class TestEdgeList:
-    def test_oracle(self, raw_edges):
-        df, _ = raw_edges
-        e = G.canonical_edges(df)
-        assert_equivalent(
-            G.edge_list(G.adjacency(e)), "SELECT src, dst FROM e", e=e
+            e=pdf,
         )
 
 
 @pytest.fixture(scope="module")
 def adj(raw_edges):
     # {1,2}, {2,3}, {3,4}, {5,6}
-    return G.adjacency(G.canonical_edges(raw_edges[0]))
+    return G.adjacency(raw_edges[0])
 
 
 def _edit(spark, adj, inserts, deletes):

@@ -12,12 +12,12 @@ import pytest
 from repro.core import complexity as cx
 from repro.reference.incremental_ref import (
     apply_edits_pdf,
-    canon_pdf,
     ref_apply_batch,
     ref_run_static,
 )
 from repro.reference.rslpa_ref import (
     build_graph,
+    canon_pdf,
     draw_choice_matrices,
     resolve_label_matrix,
 )

@@ -4,7 +4,6 @@ import pandas as pd
 import pytest
 
 from repro.core.postprocess import candidate_taus, select_tau1
-from repro.reference.incremental_ref import canon_pdf
 from repro.reference.postprocess_ref import (
     edge_weights_ref,
     extract_cover,

@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.graph import edge_list
+from repro.core import postprocess as P
 from repro.core.postprocess import (
     candidate_taus,
     edge_weights,
@@ -23,7 +23,7 @@ from repro.reference.postprocess_ref import (
     postprocess_ref,
     tau2_int_ref,
 )
-from repro.reference.rslpa_ref import propagate
+from repro.reference.rslpa_ref import canon_pdf, propagate
 from repro.webgraph.generator import web_graph
 
 T_ITERS = 8
@@ -40,17 +40,16 @@ def state(spark):
 
 class TestEdgeWeights:
     def test_oracle(self, spark, state):
-        st, _ = state
-        edges = edge_list(st.adjacency)
-        w = edge_weights(edges, st.labels)
+        st, pdf = state
+        w = edge_weights(st.adjacency, st.labels)
         assert_equivalent(
             w,
             """
             WITH counts AS (
                 SELECT id, label, COUNT(*) AS cnt FROM labels GROUP BY id, label
             ), sym AS (
-                SELECT src AS a, dst AS b FROM e
-                UNION ALL SELECT dst AS a, src AS b FROM e
+                SELECT src AS a, dst AS b FROM e WHERE src <> dst
+                UNION SELECT dst AS a, src AS b FROM e WHERE src <> dst
             )
             SELECT s.a, s.b,
                    COALESCE(SUM(ca.cnt * cb.cnt), 0) AS w_int
@@ -59,13 +58,13 @@ class TestEdgeWeights:
             LEFT JOIN counts cb ON cb.id = s.b AND cb.label = ca.label
             GROUP BY s.a, s.b
             """,
-            e=edges,
+            e=pdf,
             labels=st.labels,
         )
 
     def test_weight_normalization(self, state):
         st, _ = state
-        w = edge_weights(edge_list(st.adjacency), st.labels).toPandas()
+        w = edge_weights(st.adjacency, st.labels).toPandas()
         assert ((0 <= w["w_int"]) & (w["w_int"] <= (T_ITERS + 1) ** 2)).all()
         res = detect_communities(st, n_candidates=6)
         for tau, tau_int in ((res.tau1, res.tau1_int), (res.tau2, res.tau2_int)):
@@ -76,7 +75,7 @@ class TestEdgeWeights:
         # Identical twin vertices (same neighborhood) get near-max weight.
         pdf = pd.DataFrame({"src": [1, 1, 2, 2], "dst": [2, 3, 3, 4]})
         st = run_static(spark.createDataFrame(pdf), 2, 0)
-        w = edge_weights(edge_list(st.adjacency), st.labels).toPandas()
+        w = edge_weights(st.adjacency, st.labels).toPandas()
         assert (w["w_int"] <= 9).all()
 
     def test_tau2(self, spark):
@@ -98,19 +97,18 @@ class TestEdgeWeights:
         # Without AQE's partition coalescing the write keeps several
         # partitions, so every observed value merges per-partition parts.
         st, pdf = state
-        edges = edge_list(st.adjacency)
         key = "spark.sql.adaptive.coalescePartitions.enabled"
         saved = spark.conf.get(key)
         spark.conf.set(key, "false")
         try:
             table, tau2, n_vertices, distinct_w = write_weights(
-                edge_weights(edges, st.labels.repartition(8))
+                edge_weights(st.adjacency, st.labels.repartition(8))
             )
         finally:
             spark.conf.set(key, saved)
         assert table.rdd.getNumPartitions() > 1
         g, _, _, labels = propagate(pdf, T_ITERS, SEED)
-        ref = edge_weights_ref(edges.toPandas(), label_counts(g, labels))
+        ref = edge_weights_ref(canon_pdf(pdf), label_counts(g, labels))
         assert tau2 == tau2_int_ref(ref)
         assert n_vertices == g.n
         assert sorted(distinct_w) == sorted(ref["w_int"].unique())
@@ -121,7 +119,7 @@ class TestLayeredComponents:
     def test_each_candidate_matches_reference(self, state):
         st, _ = state
         weights, tau2, _, distinct_w = write_weights(
-            edge_weights(edge_list(st.adjacency), st.labels)
+            edge_weights(st.adjacency, st.labels)
         )
         pw = (
             weights.where(F.col("a") < F.col("b"))
@@ -221,3 +219,20 @@ def test_detect_communities_job_count(spark, state):
     finally:
         sc.setJobGroup("", "")
     assert len(sc.statusTracker().getJobIdsForGroup("detect")) == DETECT_JOBS
+
+
+def test_weight_write_explodes_adjacency_once(state, monkeypatch):
+    # Both directions of every edge come from one explode of the adjacency
+    # checkpoint, not from one per direction.
+    st, _ = state
+    written = []
+    write = P.write_weights
+
+    def recorded(weights):
+        written.append(weights)
+        return write(weights)
+
+    monkeypatch.setattr(P, "write_weights", recorded)
+    detect_communities(st, n_candidates=6)
+    plan = written[0]._jdf.queryExecution().executedPlan().toString()
+    assert plan.count("Generate explode") == 1

@@ -66,7 +66,6 @@ class TestDynamicScenarioSpark:
         (seed, epoch=0) base draws... The invariant holds at the label level
         (tested in test_incremental_spark); here we assert it carries
         through to identical communities."""
-        from repro.core.graph import edge_list
         from repro.core.resolve import resolve_labels
         from repro.core.postprocess import postprocess
         from repro.webgraph.generator import web_graph
@@ -77,10 +76,9 @@ class TestDynamicScenarioSpark:
         st2, _ = apply_batch(
             st, spark.createDataFrame(ins), spark.createDataFrame(dele)
         )
-        edges = edge_list(st2.adjacency)
-        inc = postprocess(edges, st2.labels, 8, n_candidates=5)
+        inc = postprocess(st2.adjacency, st2.labels, 8, n_candidates=5)
         scratch_labels = resolve_labels(st2.adjacency, st2.choices)
-        scr = postprocess(edges, scratch_labels, 8, n_candidates=5)
+        scr = postprocess(st2.adjacency, scratch_labels, 8, n_candidates=5)
         assert (inc.tau1_int, inc.tau2_int) == (scr.tau1_int, scr.tau2_int)
         assert {frozenset(c) for c in inc.cover()} == {
             frozenset(c) for c in scr.cover()

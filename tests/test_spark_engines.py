@@ -11,7 +11,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.choices import draw_choices
-from repro.core.graph import adjacency, canonical_edges
+from repro.core.graph import adjacency
 from repro.core.resolve import resolve_labels
 from repro.reference.rslpa_ref import (
     draw_choice_matrices,
@@ -35,7 +35,7 @@ def small_graph(spark):
 class TestChoicesEquality:
     def test_choice_table_bit_identical(self, spark, small_graph):
         df, pdf = small_graph
-        adj = adjacency(canonical_edges(df))
+        adj = adjacency(df)
         sp = (
             draw_choices(adj, T_ITERS, SEED)
             .toPandas()
@@ -61,7 +61,7 @@ class TestChoicesEquality:
 
     def test_epoch_changes_spark_draws(self, spark, small_graph):
         df, _ = small_graph
-        adj = adjacency(canonical_edges(df))
+        adj = adjacency(df)
         a = draw_choices(adj, 3, SEED, epoch=0).toPandas()
         b = draw_choices(adj, 3, SEED, epoch=1).toPandas()
         merged = a.merge(b, on=["id", "t"], suffixes=("_a", "_b"))
@@ -80,8 +80,7 @@ class TestChoicesEquality:
 class TestResolveEquality:
     def test_labels_bit_identical(self, spark, small_graph):
         df, pdf = small_graph
-        e = canonical_edges(df)
-        adj = adjacency(e)
+        adj = adjacency(df)
         ch = draw_choices(adj, T_ITERS, SEED)
         sp = (
             resolve_labels(adj, ch)
@@ -105,7 +104,7 @@ class TestResolveEquality:
         # Eight partitions cut the pointer chains, so the global doubling
         # rounds must finish what each partition's local pass started.
         df, pdf = small_graph
-        adj = adjacency(canonical_edges(df))
+        adj = adjacency(df)
         ch = draw_choices(adj, T_ITERS, SEED).repartition(8)
         sp = resolve_labels(adj, ch).toPandas().sort_values(["id", "t"])
         g, _, _, labels = propagate(pdf, T_ITERS, SEED)
@@ -118,8 +117,7 @@ class TestResolveEquality:
 
     def test_anchor_rows(self, spark, small_graph):
         df, _ = small_graph
-        e = canonical_edges(df)
-        adj = adjacency(e)
+        adj = adjacency(df)
         ch = draw_choices(adj, 4, SEED)
         lab = resolve_labels(adj, ch)
         bad = lab.where((F.col("t") == 0) & (F.col("label") != F.col("id")))
@@ -127,8 +125,7 @@ class TestResolveEquality:
 
     def test_row_count(self, spark, small_graph):
         df, _ = small_graph
-        e = canonical_edges(df)
-        adj = adjacency(e)
+        adj = adjacency(df)
         n_v = adj.count()
         lab = resolve_labels(adj, draw_choices(adj, 5, SEED))
         assert lab.count() == n_v * 6
