@@ -78,6 +78,7 @@ def print_table(r: Dict[str, float]) -> None:
     print(f"{'label prop':<18}{r['slpa_label_prop_s']:>12.1f}{r['rslpa_label_prop_s']:>12.1f}")
     print(f"{'post-processing':<18}{r['slpa_post_proc_s']:>12.1f}{r['rslpa_post_proc_s']:>12.1f}")
     print(f"{'total':<18}{r['slpa_total_s']:>12.1f}{r['rslpa_total_s']:>12.1f}")
+    print(f"{'communities':<18}{r['n_slpa_comms']:>12d}{r['n_rslpa_comms']:>12d}")
     print(
         f"per-iteration: SLPA {r['slpa_per_iter_s']:.2f}s/iter "
         f"(T={r['slpa_iters']}), rSLPA {r['rslpa_per_iter_s']:.2f}s/iter "

@@ -14,31 +14,35 @@ Pipeline:
    distinct weights are observed on that write, at no Spark job of their own.
 3. **τ1 = argmax of community-size entropy** (Eq. 1) over a candidate grid.
    The paper enumerates [τ2, max w] at step 0.001; here the grid is thinned
-   to ``n_candidates`` values. Each edge gets one copy per candidate
-   ``τ ≤ w_int``, keyed ``(tau, id)``, and one connected-components run over
-   that disjoint union of the τ-filtered graphs gives every candidate's
-   components, so a candidate costs edge copies, not a CC run. Selection
+   to ``n_candidates`` values. For every τ the components of the ``w ≥ τ``
+   edges are those of the maximum spanning forest's ``w ≥ τ`` edges, so
+   each partition of the table's ``a < b`` half keeps only its own forest
+   (Kruskal; Lattanzi et al., SPAA 2011), one collect brings the at most
+   P·(|V|−1) survivors to the driver, and the forest kernel of
+   ``repro.cc.reference`` sweeps them there in descending weight. That is
+   the step's only Spark job, whatever the number of candidates. Selection
    logic is shared with the reference engine via
-   ``candidate_taus``/``select_tau1`` below.
-4. **Extraction** — the τ1 layer of those components are the strong
-   communities (CC emits only vertices with a surviving edge, so each has
-   ≥ 2 vertices); remaining ("isolated") vertices attach weakly to each
-   neighboring community reachable over an edge with ``w ≥ τ2`` —
-   multi-attachment is what makes communities overlap.
+   ``candidate_taus``/``candidate_entropies``/``select_tau1`` below.
+4. **Extraction** — the τ1 components (only vertices with a surviving
+   edge, so each has ≥ 2 vertices) are the strong communities; remaining
+   ("isolated") vertices attach weakly to each neighboring community
+   reachable over an edge with ``w ≥ τ2`` — multi-attachment is what makes
+   communities overlap.
 
-The weight-threshold filter (paper §V-B2) is applied while the layered edge
-frame is built, so no filtered graph is materialized per candidate.
+The weight-threshold filter (paper §V-B2) is applied by the driver's sweep,
+so no filtered graph is materialized per candidate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.cc.components import connected_components
+from repro.cc.reference import max_spanning_forest, sweep_components
 from repro.core.checkpoint import N_STATE_PARTS, materialize, release
 from repro.metrics.entropy import size_entropy
 
@@ -71,6 +75,18 @@ def select_tau1(
             best_tau, best_e = tau, e
     assert best_tau is not None
     return int(best_tau)
+
+
+def candidate_entropies(
+    comps: Dict[int, Dict[int, List[int]]], n_vertices: int
+) -> List[Tuple[int, float]]:
+    """``(τ, entropy)`` in ascending τ from each candidate's components, as
+    ``sweep_components`` returns them. Sorted sizes make the float sum
+    independent of the order the union-find found the components in."""
+    return [
+        (tau, size_entropy(sorted(map(len, comps[tau].values())), n_vertices))
+        for tau in sorted(comps)
+    ]
 
 
 def edge_weights(adjacency: DataFrame, labels: DataFrame) -> DataFrame:
@@ -118,27 +134,29 @@ def write_weights(weights: DataFrame) -> Tuple[DataFrame, int, int, List[int]]:
     return table, seen["tau2"], seen["n_vertices"], seen["distinct_w"]
 
 
-def layered_components(weights: DataFrame, taus: Sequence[int]) -> DataFrame:
-    """Components of every ``w_int ≥ τ`` graph, ``τ`` in ``taus``, from one CC
-    run over the ``a < b`` half of ``weights``: rows ``(tau, id, comp)``.
-    Vertex keys are ``(tau, id)`` structs, so the layers share no vertex and
-    stay separate."""
-    layered = (
-        weights.where(F.col("a") < F.col("b"))
-        .select(F.explode(F.array(*[F.lit(t) for t in taus])).alias("tau"), "*")
-        .where(F.col("w_int") >= F.col("tau"))
-    )
-    comps = connected_components(
-        layered.select(
-            F.struct("tau", F.col("a").alias("id")).alias("src"),
-            F.struct("tau", F.col("b").alias("id")).alias("dst"),
-        )
-    )
-    return comps.select(
-        F.col("id.tau").alias("tau"),
-        F.col("id.id").alias("id"),
-        F.col("comp.id").alias("comp"),
-    )
+def _columns(pdf: pd.DataFrame) -> List[np.ndarray]:
+    return [pdf[c].to_numpy() for c in ("a", "b", "w_int")]
+
+
+def _local_forest(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    """The rows of the partition's maximum spanning forest."""
+    pdfs = list(batches)
+    if pdfs:  # an empty partition has no batch
+        pdf = pd.concat(pdfs, ignore_index=True)
+        yield pdf.iloc[max_spanning_forest(*_columns(pdf))]
+
+
+def connected_components(
+    weights: DataFrame, taus: Sequence[int]
+) -> Dict[int, Dict[int, List[int]]]:
+    """Components of every ``w_int ≥ τ`` graph, ``τ`` in ``taus``, over the
+    ``a < b`` half of ``weights``: for each τ, the components with at least
+    2 vertices, keyed by min id. Each partition's forest keeps every edge
+    the global one needs, so one collect of those forests is the only
+    Spark job."""
+    half = weights.where(F.col("a") < F.col("b"))
+    forests = half.mapInPandas(_local_forest, half.schema).toPandas()
+    return sweep_components(*_columns(forests), taus)
 
 
 @dataclass
@@ -149,6 +167,7 @@ class PostprocessResult:
     tau1_int: int
     tau2_int: int
     n_iters: int
+    entropies: List[Tuple[int, float]]  # (τ, entropy) per candidate, ascending
 
     @property
     def tau1(self) -> float:
@@ -194,19 +213,28 @@ def postprocess(
         edge_weights(adjacency, labels)
     )
     cands = candidate_taus(distinct_w, tau2, n_candidates)
-    comps = layered_components(weights, cands)
-    sizes: Dict[int, List[int]] = {tau: [] for tau in cands}
-    for r in comps.groupBy("tau", "comp").count().collect():
-        sizes[int(r["tau"])].append(int(r["count"]))
-    tau1 = select_tau1(
-        [(tau, size_entropy(s, n_vertices)) for tau, s in sizes.items()]
-    )
-    strong = comps.where(F.col("tau") == tau1).select("comp", "id")
+    comps = connected_components(weights, cands)
+    entropies = candidate_entropies(comps, n_vertices)
+    tau1 = select_tau1(entropies)
+    # A pandas frame (Arrow) becomes a local relation that the JVM scans; a
+    # list would become a Python RDD. One partition: ``createDataFrame``
+    # would slice the rows into ``defaultParallelism`` tasks.
+    strong = weights.sparkSession.createDataFrame(
+        pd.DataFrame(
+            [(comp, v) for comp, vs in comps[tau1].items() for v in vs],
+            columns=["comp", "id"],
+            dtype="int64",
+        ),
+        "comp long, id long",
+    ).coalesce(1)
     communities, _ = materialize(
         extract_communities(weights, strong, tau2), N_STATE_PARTS
     )
     release(weights)
-    release(comps)  # the last connected-components round
     return PostprocessResult(
-        communities=communities, tau1_int=tau1, tau2_int=tau2, n_iters=n_iters
+        communities=communities,
+        tau1_int=tau1,
+        tau2_int=tau2,
+        n_iters=n_iters,
+        entropies=entropies,
     )

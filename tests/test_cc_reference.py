@@ -1,9 +1,15 @@
-"""Tests for the union-find CC oracle (repro.cc.reference)."""
+"""Tests for the union-find CC oracle and the forest kernel
+(repro.cc.reference)."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cc.reference import UnionFind, component_labels, components_of_edges
+from repro.cc.reference import (
+    UnionFind,
+    components_of_edges,
+    max_spanning_forest,
+    sweep_components,
+)
 
 
 class TestUnionFind:
@@ -42,10 +48,6 @@ class TestUnionFind:
         comps = components_of_edges([(1, 2)], vertices=[1, 2, 3])
         assert comps[3] == [3]
 
-    def test_component_labels(self):
-        labels = component_labels([(1, 2), (3, 4)], [1, 2, 3, 4, 5])
-        assert labels == {1: 1, 2: 1, 3: 3, 4: 3, 5: 5}
-
 
 def _naive_components(edges, vertices):
     """BFS reference for the reference (tiny graphs only)."""
@@ -82,3 +84,29 @@ def test_matches_bfs(edges, seed):
     assert components_of_edges(edges, vertices) == _naive_components(
         edges, vertices
     )
+
+
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(0, 4)),
+        max_size=60,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_forest_keeps_every_threshold_component(edges):
+    # Weights 0..4 tie often, so Kruskal's choice among equal edges varies;
+    # the components at every threshold must not.
+    edges = [(u, v, w) for u, v, w in edges if u != v]
+    src, dst, w = (np.array([e[i] for e in edges], dtype=np.int64) for i in range(3))
+    f = max_spanning_forest(src, dst, w)
+    assert (np.diff(w[f]) <= 0).all()
+    whole = components_of_edges([(u, v) for u, v, _ in edges])
+    assert len(f) == sum(len(m) - 1 for m in whole.values())  # a spanning forest
+    taus = sorted(set(w.tolist())) + [5]  # 5 is above every weight
+    swept = sweep_components(src, dst, w, taus)
+    for tau in taus:
+        full = components_of_edges([(u, v) for u, v, x in edges if x >= tau])
+        kept = components_of_edges(
+            [(int(src[i]), int(dst[i])) for i in f if w[i] >= tau]
+        )
+        assert kept == full == swept[tau]

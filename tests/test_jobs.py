@@ -41,7 +41,10 @@ class TestFig8:
         assert r["rslpa_iters"] == 2 * r["slpa_iters"]
         assert r["slpa_total_s"] > 0 and r["rslpa_total_s"] > 0
         fig8_static_runtime.print_table(r)
-        assert "label prop" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "label prop" in out
+        counts = f"{r['n_slpa_comms']:>12d}{r['n_rslpa_comms']:>12d}"
+        assert f"{'communities':<18}{counts}" in out
 
 
 class TestFig9:

@@ -3,13 +3,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.postprocess import candidate_taus, select_tau1
+from repro.cc.reference import sweep_components
+from repro.core.postprocess import candidate_entropies, candidate_taus, select_tau1
 from repro.reference.postprocess_ref import (
     edge_weights_ref,
     extract_cover,
     label_counts,
     postprocess_ref,
-    sweep_entropies,
     tau2_int_ref,
 )
 from repro.reference.rslpa_ref import build_graph, propagate
@@ -89,7 +89,15 @@ class TestWeights:
         assert tau2_int_ref(w) == 8
 
 
+def _sweep(w, taus):
+    return sweep_components(w["src"], w["dst"], w["w_int"], taus)
+
+
 class TestExtraction:
+    def _cover(self, tau1_int, tau2_int):
+        w = self._weights()
+        return extract_cover(w, _sweep(w, [tau1_int])[tau1_int], tau2_int)
+
     def _weights(self):
         # Two strong pairs (0-1, 2-3) bridged weakly via vertex 4.
         return pd.DataFrame(
@@ -101,23 +109,23 @@ class TestExtraction:
         )
 
     def test_strong_components(self):
-        cover = extract_cover(self._weights(), tau1_int=10, tau2_int=4)
+        cover = self._cover(tau1_int=10, tau2_int=4)
         # 4 attaches weakly to both communities -> overlap.
         assert {0, 1, 4} in cover and {2, 3, 4} in cover
 
     def test_overlap_via_weak_vertex(self):
-        cover = extract_cover(self._weights(), tau1_int=10, tau2_int=4)
+        cover = self._cover(tau1_int=10, tau2_int=4)
         membership = [c for c in cover if 4 in c]
         assert len(membership) == 2
 
     def test_high_tau2_blocks_weak(self):
-        cover = extract_cover(self._weights(), tau1_int=10, tau2_int=5)
+        cover = self._cover(tau1_int=10, tau2_int=5)
         assert {0, 1} in cover and {2, 3} in cover
         assert not any(4 in c for c in cover)
 
     def test_entropy_sweep_matches_direct(self):
         w = self._weights()
-        ents = sweep_entropies(w, [4, 10], n_vertices=5)
+        ents = candidate_entropies(_sweep(w, [4, 10]), n_vertices=5)
         assert [t for t, _ in ents] == [4, 10]
         # At τ=4 everything is one component of 5; at τ=10 two pairs.
         e4 = -1.0 * np.log(1.0)  # 5/5 * log(5/5) = 0

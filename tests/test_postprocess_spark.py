@@ -1,23 +1,26 @@
 """Tests for the Spark post-processing (repro.core.postprocess): DuckDB
 oracle on the two-direction weight table, the values observed on its write,
-threshold semantics, exact equality of the full pipeline against the
-reference engine, and the Spark job count of one detection."""
+the per-partition forest filter against the forest kernel, threshold
+semantics, exact equality of the full pipeline against the reference
+engine, and the Spark job count of one detection."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.cc.reference import components_of_edges, sweep_components
 from repro.core import postprocess as P
 from repro.core.postprocess import (
+    candidate_entropies,
     candidate_taus,
+    connected_components,
     edge_weights,
     extract_communities,
-    layered_components,
+    select_tau1,
     write_weights,
 )
 from repro.core.rslpa import detect_communities, run_static
 from repro.oracle import assert_equivalent
 from repro.reference.postprocess_ref import (
-    _strong_cover,
     edge_weights_ref,
     label_counts,
     postprocess_ref,
@@ -28,7 +31,11 @@ from repro.webgraph.generator import web_graph
 
 T_ITERS = 8
 SEED = 5
-DETECT_JOBS = 15  # Spark jobs of one detect_communities on ``state``
+DETECT_JOBS = 12  # Spark jobs of one detect_communities on ``state``
+GRAPHS = [
+    pd.DataFrame({"src": range(80), "dst": range(1, 81)}),
+    web_graph(n=400, avg_degree=3, seed=3),
+]
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +122,82 @@ class TestEdgeWeights:
         assert table.count() == 2 * len(ref)
 
 
+def _threshold_components(pw, taus):
+    """Oracle: union-find over every ``w_int >= τ`` edge of ``(src, dst,
+    w_int)`` rows, for each τ."""
+    return {
+        tau: components_of_edges(
+            pw.loc[pw["w_int"] >= tau, ["src", "dst"]].itertuples(index=False)
+        )
+        for tau in taus
+    }
+
+
+def _both_ways(spark, pw):
+    """The two-direction ``(a, b, w_int)`` table of ``(src, dst, w_int)``."""
+    half = pw.rename(columns={"src": "a", "dst": "b"})
+    return spark.createDataFrame(
+        pd.concat([half, half.rename(columns={"a": "b", "b": "a"})])
+    )
+
+
+class TestConnectedComponents:
+    """The forest each partition keeps, merged and swept on the driver,
+    gives the components of every threshold graph."""
+
+    def _tied(self, pdf):
+        # Weights 0..4 tie often, so partitions keep different forests.
+        e = canon_pdf(pdf)
+        return e.assign(w_int=(e["src"] * 7 + e["dst"] * 3) % 5)
+
+    @pytest.mark.parametrize("pdf", GRAPHS, ids=["path80", "web400"])
+    def test_eight_partitions_match_kernel(self, spark, pdf):
+        pw = self._tied(pdf)
+        taus = [0, 1, 2, 3, 4]
+        w = _both_ways(spark, pw).repartition(8)
+        assert w.rdd.getNumPartitions() == 8
+        out = connected_components(w, taus)
+        assert out == sweep_components(pw["src"], pw["dst"], pw["w_int"], taus)
+        assert out == _threshold_components(pw, taus)
+
+    @pytest.mark.parametrize("pdf", GRAPHS, ids=["path80", "web400"])
+    def test_one_partition_matches_kernel(self, spark, pdf):
+        pw = self._tied(pdf)
+        taus = [0, 2, 4]
+        out = connected_components(_both_ways(spark, pw).coalesce(1), taus)
+        assert out == _threshold_components(pw, taus)
+
+    def test_empty_partitions(self, spark):
+        # Four rows in eight partitions: at least four partitions are empty.
+        pw = pd.DataFrame(
+            {"src": [1, 2, 5, 6], "dst": [2, 3, 6, 7], "w_int": [3, 1, 3, 3]}
+        )
+        w = spark.createDataFrame(pw.rename(columns={"src": "a", "dst": "b"}))
+        out = connected_components(w.repartition(8), [1, 3])
+        assert out == sweep_components(pw["src"], pw["dst"], pw["w_int"], [1, 3])
+        assert out == {
+            1: {1: [1, 2, 3], 5: [5, 6, 7]},
+            3: {1: [1, 2], 5: [5, 6, 7]},
+        }
+
+    def test_two_components(self, spark):
+        pw = pd.DataFrame({"src": [1, 2, 5], "dst": [2, 3, 6], "w_int": [1, 1, 1]})
+        out = connected_components(_both_ways(spark, pw), [1])
+        assert out == {1: {1: [1, 2, 3], 5: [5, 6]}}
+
+    def test_comp_is_min_id(self, spark):
+        pw = pd.DataFrame({"src": [10, 7], "dst": [7, 3], "w_int": [2, 2]})
+        out = connected_components(_both_ways(spark, pw), [2])
+        assert out == {2: {3: [3, 7, 10]}}
+
+    def test_thresholds_stay_separate(self, spark):
+        # 1-2 and 3-4 weigh 5, 2-3 weighs 1: only τ = 1 joins all four ids,
+        # and a vertex with no edge at τ is in no component.
+        pw = pd.DataFrame({"src": [1, 3, 2], "dst": [2, 4, 3], "w_int": [5, 5, 1]})
+        out = connected_components(_both_ways(spark, pw), [1, 5, 6])
+        assert out == {1: {1: [1, 2, 3, 4]}, 5: {1: [1, 2], 3: [3, 4]}, 6: {}}
+
+
 class TestLayeredComponents:
     def test_each_candidate_matches_reference(self, state):
         st, _ = state
@@ -127,18 +210,15 @@ class TestLayeredComponents:
             .toPandas()
         )
         cands = candidate_taus(distinct_w, tau2, 6)
-        out = layered_components(weights, cands).toPandas()
-        per_tau = {
-            tau: {comp: set(g["id"]) for comp, g in layer.groupby("comp")}
-            for tau, layer in out.groupby("tau")
-        }
-        expected = {tau: _strong_cover(pw, tau) for tau in cands}
-        # The layers must differ, or a merged key would go unnoticed.
+        out = connected_components(weights, cands)
+        expected = _threshold_components(pw, cands)
+        # The candidates' components must differ, or a threshold the sweep
+        # skipped would go unnoticed.
         layers = {
-            frozenset(map(frozenset, c.values())) for c in expected.values()
+            frozenset(map(tuple, c.values())) for c in expected.values()
         }
         assert len(layers) > 1
-        assert {tau: per_tau.get(tau, {}) for tau in cands} == expected
+        assert out == expected
 
 
 class TestExtractCommunities:
@@ -189,6 +269,18 @@ class TestFullPipelineEquality:
             frozenset(c) for c in ref_cover
         }
 
+    def test_entropies_match_reference(self, state):
+        # The (τ, entropy) pairs that chose τ1 are the forest kernel's on
+        # the reference engine's weights, and choose the returned τ1.
+        st, pdf = state
+        res = detect_communities(st, n_candidates=6)
+        g, _, _, labels = propagate(pdf, T_ITERS, SEED)
+        ref = edge_weights_ref(canon_pdf(pdf), label_counts(g, labels))
+        cands = candidate_taus(ref["w_int"].unique(), tau2_int_ref(ref), 6)
+        comps = sweep_components(ref["src"], ref["dst"], ref["w_int"], cands)
+        assert res.entropies == candidate_entropies(comps, g.n)
+        assert select_tau1(res.entropies) == res.tau1_int
+
     def test_thresholds_ordered(self, state):
         st, _ = state
         res = detect_communities(st, n_candidates=6)
@@ -209,7 +301,7 @@ def test_detect_communities_job_count(spark, state):
     # One job group around one detection, counted like
     # test_checkpoint::test_observed_counts_cost_no_job. The count was
     # measured when τ2, |V| and the distinct weights moved onto the weight
-    # write and CC stopped confirming a local pass that settled every vertex;
+    # write and the τ1 sweep became one collect of per-partition forests;
     # a job that comes back for either fails here.
     st, _ = state
     sc = spark.sparkContext

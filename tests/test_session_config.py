@@ -2,11 +2,12 @@
 off and 7 shuffle partitions. The draws are partition-independent by
 design, so labels, chained updates (their observed counts included), the
 detected communities and the SLPA memory must equal the references under
-any partitioning. Here the weight table keeps 7 partitions, so connected
-components must run its global rounds."""
+any partitioning. Here the weight table keeps several partitions, so the
+τ1 sweep must merge the forests that each of them keeps."""
 import pandas as pd
 import pytest
 
+from repro.core import postprocess as P
 from repro.core.incremental import apply_batch
 from repro.core.rslpa import detect_communities, run_static
 from repro.reference.postprocess_ref import postprocess_ref
@@ -54,16 +55,24 @@ def test_static_labels(spark, second_config, graph):
     )
 
 
-def test_detect_communities(spark, second_config, graph, checkpoints):
+def test_detect_communities(spark, second_config, graph, checkpoints, monkeypatch):
     st = run_static(spark.createDataFrame(graph), T_ITERS, SEED)
+    parts = []
+    sweep = P.connected_components
+
+    def recorded(weights, taus):
+        parts.append(weights.rdd.getNumPartitions())
+        return sweep(weights, taus)
+
+    monkeypatch.setattr(P, "connected_components", recorded)
     checkpoints.clear()
     res = detect_communities(st, n_candidates=4)
     ref = ref_run_static(graph, T_ITERS, SEED)
     cover, tau1, tau2 = postprocess_ref(graph, ref.g, ref.labels, n_candidates=4)
     assert (res.tau1_int, res.tau2_int) == (tau1, tau2)
     assert {frozenset(c) for c in res.cover()} == {frozenset(c) for c in cover}
-    # weights, stars, one or more rounds, communities
-    assert len(checkpoints) > 3
+    assert parts[0] > 1  # the forests of several partitions are merged
+    assert len(checkpoints) == 2  # the weights and the communities
 
 
 def test_chained_apply_batch(spark, second_config, graph):
