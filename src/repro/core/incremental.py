@@ -90,8 +90,12 @@ class UpdateStats:
     n_repicked: int  # rows re-picked in phase 1 (|F0|)
     n_value_changed: int  # rows whose final label differs from the old one
     eta: int  # |F0 ∪ value-changed| — the paper's η
-    rounds: int  # correction-propagation message rounds until quiescence
     round_deltas: List[int] = field(default_factory=list)  # messages/round
+
+    @property
+    def rounds(self) -> int:
+        """Correction-propagation message rounds until quiescence."""
+        return len(self.round_deltas)
 
 
 def apply_batch(
@@ -125,7 +129,7 @@ def apply_batch(
     n_affected = seen["n_affected"]
     if n_affected == 0:
         release(vert)
-        return state, UpdateStats(0, 0, 0, 0, 0, 0, 0)
+        return state, UpdateStats(0, 0, 0, 0, 0, 0)
     m_a, m_d = seen["ends_a"] // 2, seen["ends_d"] // 2
     new_adj, _ = materialize(G.apply_edits(state.adjacency, vert), N_STATE_PARTS)
 
@@ -268,7 +272,6 @@ def apply_batch(
         n_repicked=n_repicked,
         n_value_changed=seen["n_value_changed"],
         eta=seen["eta"],
-        rounds=len(round_deltas),
         round_deltas=round_deltas,
     )
     return new_state, stats

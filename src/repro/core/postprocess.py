@@ -7,22 +7,24 @@ Pipeline:
    ``w_ij = Σ_l f_i(l)·f_j(l) / (T+1)^2``. We carry the *integer* match count
    ``w_int = Σ_l f_i(l)·f_j(l)`` everywhere (thresholds included) so the
    Spark and NumPy engines agree bit-for-bit — floats appear only in reports.
-   Each vertex's histogram, a ``map<label, count>``, is joined onto both
-   directions of every edge, which one ``explode`` of the adjacency table
-   gives; one write keeps that ``(a, b, w_int)`` table.
-2. **τ2 = min_i max_j w_ij** (Eq. 2, "no isolated vertex"), |V| and the
-   distinct weights are observed on that write, at no Spark job of their own.
+   One ``explode`` of the adjacency table, kept where ``id < nbr``, gives
+   every edge once, and each vertex's histogram, a ``map<label, count>``, is
+   joined onto both of its ends; one write keeps that ``(a, b, w_int)``
+   table, ``a < b``, and observes its distinct weights.
+2. **Forest filter** — for every τ the components of the ``w ≥ τ`` edges
+   are those of the maximum spanning forest's ``w ≥ τ`` edges, so each
+   partition keeps only its own forest (Kruskal; Lattanzi et al., SPAA
+   2011) and one collect brings the at most P·(|V|−1) survivors to the
+   driver: the only Spark job of steps 2–3. Kruskal also keeps every
+   vertex's heaviest edge, because the first edge it meets at a vertex
+   always merges, so the forests give **τ2 = min_i max_j w_ij** (Eq. 2,
+   "no isolated vertex") and |V| exactly.
 3. **τ1 = argmax of community-size entropy** (Eq. 1) over a candidate grid.
    The paper enumerates [τ2, max w] at step 0.001; here the grid is thinned
-   to ``n_candidates`` values. For every τ the components of the ``w ≥ τ``
-   edges are those of the maximum spanning forest's ``w ≥ τ`` edges, so
-   each partition of the table's ``a < b`` half keeps only its own forest
-   (Kruskal; Lattanzi et al., SPAA 2011), one collect brings the at most
-   P·(|V|−1) survivors to the driver, and the forest kernel of
-   ``repro.cc.reference`` sweeps them there in descending weight. That is
-   the step's only Spark job, whatever the number of candidates. Selection
-   logic is shared with the reference engine via
-   ``candidate_taus``/``candidate_entropies``/``select_tau1`` below.
+   to ``n_candidates`` values, and the forest kernel of
+   ``repro.cc.reference`` sweeps the forest edges once in descending
+   weight. ``thresholds`` below does steps 2–3 on the driver; the reference
+   engine calls it on all of its edges.
 4. **Extraction** — the τ1 components (only vertices with a surviving
    edge, so each has ≥ 2 vertices) are the strong communities; remaining
    ("isolated") vertices attach weakly to each neighboring community
@@ -35,11 +37,11 @@ so no filtered graph is materialized per candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.cc.reference import max_spanning_forest, sweep_components
@@ -77,20 +79,53 @@ def select_tau1(
     return int(best_tau)
 
 
-def candidate_entropies(
-    comps: Dict[int, Dict[int, List[int]]], n_vertices: int
-) -> List[Tuple[int, float]]:
-    """``(τ, entropy)`` in ascending τ from each candidate's components, as
-    ``sweep_components`` returns them. Sorted sizes make the float sum
+class Thresholds(NamedTuple):
+    """Everything both engines decide from the weights alone."""
+
+    tau2_int: int
+    n_vertices: int
+    candidates: List[int]  # ascending
+    comps: Dict[int, Dict[int, List[int]]]  # per candidate, keyed by min id
+    entropies: List[Tuple[int, float]]  # (τ, entropy) per candidate
+    tau1_int: int
+
+    @property
+    def strong(self) -> Dict[int, List[int]]:
+        """The τ1 components."""
+        return self.comps[self.tau1_int]
+
+
+def thresholds(
+    src: np.ndarray,
+    dst: np.ndarray,
+    w: np.ndarray,
+    distinct_w: Sequence[int],
+    n_candidates: int,
+) -> Thresholds:
+    """τ2, |V|, the candidate grid over ``distinct_w``, its sweep, the
+    entropies and τ1 from edges that hold every vertex's heaviest edge and
+    every threshold graph's components: all edges, or a union of maximum
+    spanning forests of any split of them. Sorted sizes make each entropy
     independent of the order the union-find found the components in."""
-    return [
-        (tau, size_entropy(sorted(map(len, comps[tau].values())), n_vertices))
-        for tau in sorted(comps)
+    heaviest = (
+        pd.Series(np.concatenate([w, w]))
+        .groupby(np.concatenate([src, dst]))
+        .max()
+    )
+    tau2 = int(heaviest.min()) if len(heaviest) else 0
+    cands = candidate_taus(distinct_w, tau2, n_candidates)
+    comps = sweep_components(src, dst, w, cands)
+    entropies = [
+        (tau, size_entropy(sorted(map(len, comps[tau].values())), len(heaviest)))
+        for tau in cands
     ]
+    return Thresholds(
+        tau2, len(heaviest), cands, comps, entropies, select_tau1(entropies)
+    )
 
 
 def edge_weights(adjacency: DataFrame, labels: DataFrame) -> DataFrame:
-    """Both directions of every edge of ``adjacency`` with its integer weight
+    """Every edge of ``adjacency`` once, ``a < b``, with its integer weight
     ``w_int = Σ_l f_a(l)·f_b(l)``: rows ``(a, b, w_int)``."""
     hist = (
         labels.groupBy("id", "label")
@@ -107,35 +142,20 @@ def edge_weights(adjacency: DataFrame, labels: DataFrame) -> DataFrame:
     )
     return (
         adjacency.select("id", F.explode("nbrs").alias("nbr"))
+        .where(F.col("id") < F.col("nbr"))
         .join(hist.toDF("id", "ha"), "id")
         .join(hist.toDF("nbr", "hb"), "nbr")
         .select(F.col("id").alias("a"), F.col("nbr").alias("b"), w_int.alias("w_int"))
     )
 
 
-def write_weights(weights: DataFrame) -> Tuple[DataFrame, int, int, List[int]]:
-    """Checkpoint the ``(a, b, w_int)`` table; returns it with τ2 (Eq. 2: min
-    over vertices of max incident ``w_int``), the number of vertices and the
-    distinct weights (at most (T+1)^2 + 1), all observed on that write."""
-    # The join on ``b`` already partitions the rows by ``b``: no shuffle.
-    by_b = Window.partitionBy("b")
-    first = F.col("a") == F.min("a").over(by_b)  # one row per vertex
-    mx = F.max("w_int").over(by_b)
+def write_weights(weights: DataFrame) -> Tuple[DataFrame, List[int]]:
+    """Checkpoint the ``(a, b, w_int)`` table; returns it with the distinct
+    weights (at most (T+1)^2 + 1), observed on that write."""
     table, seen = materialize(
-        weights.select("*", mx.alias("mx"), first.alias("first")),
-        N_STATE_PARTS,
-        "a",
-        "b",
-        "w_int",
-        tau2=F.coalesce(F.min("mx"), F.lit(0)),
-        n_vertices=F.count_if("first"),
-        distinct_w=F.collect_set("w_int"),
+        weights, N_STATE_PARTS, distinct_w=F.collect_set("w_int")
     )
-    return table, seen["tau2"], seen["n_vertices"], seen["distinct_w"]
-
-
-def _columns(pdf: pd.DataFrame) -> List[np.ndarray]:
-    return [pdf[c].to_numpy() for c in ("a", "b", "w_int")]
+    return table, seen["distinct_w"]
 
 
 def _local_forest(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -143,20 +163,16 @@ def _local_forest(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
     pdfs = list(batches)
     if pdfs:  # an empty partition has no batch
         pdf = pd.concat(pdfs, ignore_index=True)
-        yield pdf.iloc[max_spanning_forest(*_columns(pdf))]
+        yield pdf.iloc[max_spanning_forest(pdf["a"], pdf["b"], pdf["w_int"])]
 
 
-def connected_components(
-    weights: DataFrame, taus: Sequence[int]
-) -> Dict[int, Dict[int, List[int]]]:
-    """Components of every ``w_int ≥ τ`` graph, ``τ`` in ``taus``, over the
-    ``a < b`` half of ``weights``: for each τ, the components with at least
-    2 vertices, keyed by min id. Each partition's forest keeps every edge
-    the global one needs, so one collect of those forests is the only
-    Spark job."""
-    half = weights.where(F.col("a") < F.col("b"))
-    forests = half.mapInPandas(_local_forest, half.schema).toPandas()
-    return sweep_components(*_columns(forests), taus)
+def connected_components(weights: DataFrame) -> List[np.ndarray]:
+    """The ``a``, ``b`` and ``w_int`` columns of the union of the maximum
+    spanning forests that the partitions of ``weights`` keep: every edge
+    the components of any threshold graph, τ2 and |V| need, in one Spark
+    job."""
+    forests = weights.mapInPandas(_local_forest, weights.schema).toPandas()
+    return [forests[c].to_numpy() for c in ("a", "b", "w_int")]
 
 
 @dataclass
@@ -190,11 +206,14 @@ def extract_communities(
     weights: DataFrame, strong: DataFrame, tau2_int: int
 ) -> DataFrame:
     """Strong members ``(comp, id)`` plus their weak attachments at τ2 over
-    the ``(a, b, w_int)`` table: rows (comp, id)."""
+    the one-row-per-edge ``(a, b, w_int)`` table: rows (comp, id)."""
+    heavy = weights.where(F.col("w_int") >= F.lit(tau2_int)).select("a", "b")
+    # Either end may be the weak one. The broadcasts keep both joins above
+    # the union; without them the anti-join is pushed into both branches.
     weak = (
-        weights.where(F.col("w_int") >= F.lit(tau2_int))
-        .join(strong.select(F.col("id").alias("a")), "a", "left_anti")
-        .join(strong.select(F.col("id").alias("b"), "comp"), "b")
+        heavy.unionByName(heavy.select(F.col("b").alias("a"), F.col("a").alias("b")))
+        .join(F.broadcast(strong.select(F.col("id").alias("a"))), "a", "left_anti")
+        .join(F.broadcast(strong.select(F.col("id").alias("b"), "comp")), "b")
         .select(F.col("a").alias("id"), "comp")
         .distinct()
     )
@@ -209,32 +228,27 @@ def postprocess(
 ) -> PostprocessResult:
     """Full Section III-B pipeline over the graph's adjacency table; returns
     communities and thresholds."""
-    weights, tau2, n_vertices, distinct_w = write_weights(
-        edge_weights(adjacency, labels)
-    )
-    cands = candidate_taus(distinct_w, tau2, n_candidates)
-    comps = connected_components(weights, cands)
-    entropies = candidate_entropies(comps, n_vertices)
-    tau1 = select_tau1(entropies)
+    weights, distinct_w = write_weights(edge_weights(adjacency, labels))
+    th = thresholds(*connected_components(weights), distinct_w, n_candidates)
     # A pandas frame (Arrow) becomes a local relation that the JVM scans; a
     # list would become a Python RDD. One partition: ``createDataFrame``
     # would slice the rows into ``defaultParallelism`` tasks.
     strong = weights.sparkSession.createDataFrame(
         pd.DataFrame(
-            [(comp, v) for comp, vs in comps[tau1].items() for v in vs],
+            [(comp, v) for comp, vs in th.strong.items() for v in vs],
             columns=["comp", "id"],
             dtype="int64",
         ),
         "comp long, id long",
     ).coalesce(1)
     communities, _ = materialize(
-        extract_communities(weights, strong, tau2), N_STATE_PARTS
+        extract_communities(weights, strong, th.tau2_int), N_STATE_PARTS
     )
     release(weights)
     return PostprocessResult(
         communities=communities,
-        tau1_int=tau1,
-        tau2_int=tau2,
+        tau1_int=th.tau1_int,
+        tau2_int=th.tau2_int,
         n_iters=n_iters,
-        entropies=entropies,
+        entropies=th.entropies,
     )

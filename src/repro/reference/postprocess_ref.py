@@ -1,11 +1,11 @@
 """NumPy/pandas reference of the rSLPA post-processing (Section III-B).
 
 Mirrors ``repro.core.postprocess`` decision-for-decision (integer weights,
-shared ``candidate_taus``/``candidate_entropies``/``select_tau1`` helpers),
-so the Spark and reference pipelines return identical thresholds and covers
-— the equality is asserted in tests. The τ1 sweep is the forest kernel of
-``repro.cc.reference`` that the Spark engine runs on its driver: Kruskal
-over every edge, then one descending sweep over the forest.
+one row per canonical edge), so the Spark and reference pipelines return
+identical thresholds and covers — the equality is asserted in tests. τ2,
+|V|, the candidate grid, the τ1 sweep and the entropies come from the
+``thresholds`` function that the Spark engine runs on its driver, here
+over every edge instead of the partitions' forests.
 """
 from __future__ import annotations
 
@@ -14,24 +14,8 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 import pandas as pd
 
-from repro.cc.reference import sweep_components
-from repro.core.postprocess import (
-    candidate_entropies,
-    candidate_taus,
-    select_tau1,
-)
-from repro.reference.rslpa_ref import RefGraph, canon_pdf
-
-
-def label_counts(g: RefGraph, labels: np.ndarray) -> pd.DataFrame:
-    """Histogram of each vertex's label sequence: (id, label, cnt)."""
-    n, w = labels.shape
-    ids = np.repeat(g.ids, w)
-    pairs = np.stack([ids, labels.ravel()], axis=1)
-    uniq, cnt = np.unique(pairs, axis=0, return_counts=True)
-    return pd.DataFrame(
-        {"id": uniq[:, 0], "label": uniq[:, 1], "cnt": cnt.astype(np.int64)}
-    )
+from repro.core.postprocess import thresholds
+from repro.reference.rslpa_ref import RefGraph, canon_pdf, label_counts
 
 
 def edge_weights_ref(
@@ -48,19 +32,6 @@ def edge_weights_ref(
     )
     out["w_int"] = out["w_int"].fillna(0).astype(np.int64)
     return out
-
-
-def tau2_int_ref(weights: pd.DataFrame) -> int:
-    """Eq. 2 on integer weights: min over vertices of max incident w_int."""
-    sym = pd.concat(
-        [
-            weights[["src", "w_int"]].rename(columns={"src": "id"}),
-            weights[["dst", "w_int"]].rename(columns={"dst": "id"}),
-        ]
-    )
-    if sym.empty:
-        return 0
-    return int(sym.groupby("id")["w_int"].max().min())
 
 
 def extract_cover(
@@ -88,12 +59,10 @@ def postprocess_ref(
     n_candidates: int = 8,
 ) -> Tuple[List[Set[int]], int, int]:
     """Full reference post-processing: returns (cover, τ1_int, τ2_int)."""
-    counts = label_counts(g, labels)
-    weights = edge_weights_ref(canon_pdf(edges), counts)
-    tau2 = tau2_int_ref(weights)
-    cands = candidate_taus(weights["w_int"].unique(), tau2, n_candidates)
-    comps = sweep_components(
-        *(weights[c].to_numpy() for c in ("src", "dst", "w_int")), cands
+    weights = edge_weights_ref(canon_pdf(edges), label_counts(g, labels))
+    th = thresholds(
+        *(weights[c].to_numpy() for c in ("src", "dst", "w_int")),
+        weights["w_int"].unique(),
+        n_candidates,
     )
-    tau1 = select_tau1(candidate_entropies(comps, g.n))
-    return extract_cover(weights, comps[tau1], tau2), tau1, tau2
+    return extract_cover(weights, th.strong, th.tau2_int), th.tau1_int, th.tau2_int

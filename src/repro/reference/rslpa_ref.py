@@ -126,6 +126,17 @@ def labels_long(g: RefGraph, labels: np.ndarray) -> pd.DataFrame:
     )
 
 
+def label_counts(g: RefGraph, labels: np.ndarray) -> pd.DataFrame:
+    """Histogram of each vertex's label sequence (rSLPA labels or SLPA
+    memory): ``(id, label, cnt)``, sorted."""
+    return (
+        labels_long(g, labels)
+        .groupby(["id", "label"], as_index=False)
+        .size()
+        .rename(columns={"size": "cnt"})
+    )
+
+
 def propagate(
     edges: pd.DataFrame, n_iters: int, seed: int, epoch: int = 0
 ) -> Tuple[RefGraph, np.ndarray, np.ndarray, np.ndarray]:

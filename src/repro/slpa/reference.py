@@ -15,7 +15,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core import rand
-from repro.reference.rslpa_ref import RefGraph, build_graph
+from repro.reference.rslpa_ref import RefGraph, build_graph, label_counts
 from repro.slpa.slpa import plurality_winners, threshold_communities
 
 
@@ -39,20 +39,9 @@ def run_slpa_ref(
     return g, mem
 
 
-def memory_counts_ref(g: RefGraph, mem: np.ndarray) -> pd.DataFrame:
-    """Per-vertex label histogram (id, label, cnt) from the memory matrix."""
-    n, w = mem.shape
-    ids = np.repeat(g.ids, w)
-    pairs = np.stack([ids, mem.ravel()], axis=1)
-    uniq, cnt = np.unique(pairs, axis=0, return_counts=True)
-    return pd.DataFrame(
-        {"id": uniq[:, 0], "label": uniq[:, 1], "cnt": cnt.astype(np.int64)}
-    )
-
-
 def slpa_communities_ref(
     edges: pd.DataFrame, n_iters: int, seed: int, tau: float
 ) -> List[Set[int]]:
     """End-to-end SLPA baseline on the reference engine."""
     g, mem = run_slpa_ref(edges, n_iters, seed)
-    return threshold_communities(memory_counts_ref(g, mem), tau, n_iters)
+    return threshold_communities(label_counts(g, mem), tau, n_iters)

@@ -50,10 +50,7 @@ def local_session(app_name: str):
 
     s = (
         SparkSession.builder.appName(app_name)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.python.sql.dataFrameDebugging.enabled", "false")

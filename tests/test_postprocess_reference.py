@@ -2,17 +2,17 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.cc.reference import sweep_components
-from repro.core.postprocess import candidate_entropies, candidate_taus, select_tau1
+from repro.cc.reference import max_spanning_forest, sweep_components
+from repro.core.postprocess import candidate_taus, select_tau1, thresholds
 from repro.reference.postprocess_ref import (
     edge_weights_ref,
     extract_cover,
-    label_counts,
     postprocess_ref,
-    tau2_int_ref,
 )
-from repro.reference.rslpa_ref import build_graph, propagate
+from repro.reference.rslpa_ref import build_graph, label_counts, propagate
 
 
 def _pdf(pairs):
@@ -86,17 +86,53 @@ class TestWeights:
             {"src": [0, 1, 2], "dst": [1, 2, 3], "w_int": [10, 5, 8]}
         )
         # max incident: v0=10, v1=10, v2=8, v3=8 -> min = 8.
-        assert tau2_int_ref(w) == 8
+        th = thresholds(w["src"], w["dst"], w["w_int"], [5, 8, 10], 8)
+        assert (th.tau2_int, th.n_vertices) == (8, 4)
 
 
-def _sweep(w, taus):
-    return sweep_components(w["src"], w["dst"], w["w_int"], taus)
+@given(
+    edges=st.lists(
+        st.tuples(
+            st.integers(0, 20),
+            st.integers(0, 20),
+            st.integers(0, 4),
+            st.integers(0, 3),
+        ),
+        max_size=60,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_forest_union_keeps_every_threshold(edges):
+    # Tied weights 0..4 on (u, v, w, partition) edges: each partition keeps
+    # its own maximum spanning forest, and the union of those forests gives
+    # the brute-force τ2 (min over vertices of the max incident weight) and
+    # |V|, and the same grid, sweep, entropies and τ1 as every edge.
+    edges = [e for e in edges if e[0] != e[1]]
+    assume(edges)
+    src, dst, w, part = (np.array([e[i] for e in edges]) for i in range(4))
+    heaviest = {}
+    for u, v, x, _ in edges:
+        for end in (u, v):
+            heaviest[end] = max(heaviest.get(end, x), x)
+    kept = np.concatenate(
+        [
+            np.flatnonzero(part == p)[
+                max_spanning_forest(*(a[part == p] for a in (src, dst, w)))
+            ]
+            for p in range(4)
+        ]
+    )
+    distinct = sorted(set(w.tolist()))
+    th = thresholds(src[kept], dst[kept], w[kept], distinct, 3)
+    assert (th.tau2_int, th.n_vertices) == (min(heaviest.values()), len(heaviest))
+    assert th == thresholds(src, dst, w, distinct, 3)
 
 
 class TestExtraction:
     def _cover(self, tau1_int, tau2_int):
         w = self._weights()
-        return extract_cover(w, _sweep(w, [tau1_int])[tau1_int], tau2_int)
+        strong = sweep_components(w["src"], w["dst"], w["w_int"], [tau1_int])
+        return extract_cover(w, strong[tau1_int], tau2_int)
 
     def _weights(self):
         # Two strong pairs (0-1, 2-3) bridged weakly via vertex 4.
@@ -125,7 +161,9 @@ class TestExtraction:
 
     def test_entropy_sweep_matches_direct(self):
         w = self._weights()
-        ents = candidate_entropies(_sweep(w, [4, 10]), n_vertices=5)
+        th = thresholds(w["src"], w["dst"], w["w_int"], [4, 10], 8)
+        assert th.n_vertices == 5
+        ents = th.entropies
         assert [t for t, _ in ents] == [4, 10]
         # At τ=4 everything is one component of 5; at τ=10 two pairs.
         e4 = -1.0 * np.log(1.0)  # 5/5 * log(5/5) = 0

@@ -1,37 +1,31 @@
 """Tests for the Spark post-processing (repro.core.postprocess): DuckDB
-oracle on the two-direction weight table, the values observed on its write,
-the per-partition forest filter against the forest kernel, threshold
-semantics, exact equality of the full pipeline against the reference
-engine, and the Spark job count of one detection."""
+oracle on the one-row-per-edge weight table, the values observed on its
+write and read off the partitions' forests, the per-partition forest filter
+against the forest kernel, threshold semantics, exact equality of the full
+pipeline against the reference engine, and the Spark job count of one
+detection."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.cc.reference import components_of_edges, sweep_components
 from repro.core import postprocess as P
 from repro.core.postprocess import (
-    candidate_entropies,
-    candidate_taus,
     connected_components,
     edge_weights,
     extract_communities,
     select_tau1,
+    thresholds,
     write_weights,
 )
 from repro.core.rslpa import detect_communities, run_static
 from repro.oracle import assert_equivalent
-from repro.reference.postprocess_ref import (
-    edge_weights_ref,
-    label_counts,
-    postprocess_ref,
-    tau2_int_ref,
-)
-from repro.reference.rslpa_ref import canon_pdf, propagate
+from repro.reference.postprocess_ref import edge_weights_ref, postprocess_ref
+from repro.reference.rslpa_ref import canon_pdf, label_counts, propagate
 from repro.webgraph.generator import web_graph
 
 T_ITERS = 8
 SEED = 5
-DETECT_JOBS = 12  # Spark jobs of one detect_communities on ``state``
+DETECT_JOBS = 10  # Spark jobs of one detect_communities on ``state``
 GRAPHS = [
     pd.DataFrame({"src": range(80), "dst": range(1, 81)}),
     web_graph(n=400, avg_degree=3, seed=3),
@@ -54,13 +48,13 @@ class TestEdgeWeights:
             """
             WITH counts AS (
                 SELECT id, label, COUNT(*) AS cnt FROM labels GROUP BY id, label
-            ), sym AS (
-                SELECT src AS a, dst AS b FROM e WHERE src <> dst
-                UNION SELECT dst AS a, src AS b FROM e WHERE src <> dst
+            ), canon AS (
+                SELECT DISTINCT LEAST(src, dst) AS a, GREATEST(src, dst) AS b
+                FROM e WHERE src <> dst
             )
             SELECT s.a, s.b,
                    COALESCE(SUM(ca.cnt * cb.cnt), 0) AS w_int
-            FROM sym s
+            FROM canon s
             LEFT JOIN counts ca ON ca.id = s.a
             LEFT JOIN counts cb ON cb.id = s.b AND cb.label = ca.label
             GROUP BY s.a, s.b
@@ -86,29 +80,25 @@ class TestEdgeWeights:
         assert (w["w_int"] <= 9).all()
 
     def test_tau2(self, spark):
-        # The path 0-1-2-3 in both directions.
+        # The path 0-1-2-3, one row per edge, spread over three partitions.
         w = spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "a": [0, 1, 1, 2, 2, 3],
-                    "b": [1, 0, 2, 1, 3, 2],
-                    "w_int": [10, 10, 5, 5, 8, 8],
-                }
-            )
+            pd.DataFrame({"a": [0, 1, 2], "b": [1, 2, 3], "w_int": [10, 5, 8]})
         )
+        table, distinct_w = write_weights(w.repartition(3))
+        th = thresholds(*connected_components(table), distinct_w, 8)
         # max incident: v0=10, v1=10, v2=8, v3=8 -> τ2 = 8 over 4 vertices.
-        _, tau2, n_vertices, distinct_w = write_weights(w)
-        assert (tau2, n_vertices, sorted(distinct_w)) == (8, 4, [5, 8, 10])
+        assert (th.tau2_int, th.n_vertices, sorted(distinct_w)) == (8, 4, [5, 8, 10])
 
     def test_observed_values_match_reference(self, spark, state):
         # Without AQE's partition coalescing the write keeps several
-        # partitions, so every observed value merges per-partition parts.
+        # partitions, so the distinct weights merge per-partition parts and
+        # τ2 and |V| come from several partitions' forests.
         st, pdf = state
         key = "spark.sql.adaptive.coalescePartitions.enabled"
         saved = spark.conf.get(key)
         spark.conf.set(key, "false")
         try:
-            table, tau2, n_vertices, distinct_w = write_weights(
+            table, distinct_w = write_weights(
                 edge_weights(st.adjacency, st.labels.repartition(8))
             )
         finally:
@@ -116,10 +106,12 @@ class TestEdgeWeights:
         assert table.rdd.getNumPartitions() > 1
         g, _, _, labels = propagate(pdf, T_ITERS, SEED)
         ref = edge_weights_ref(canon_pdf(pdf), label_counts(g, labels))
-        assert tau2 == tau2_int_ref(ref)
-        assert n_vertices == g.n
+        th = thresholds(*connected_components(table), distinct_w, 6)
+        ref_th = thresholds(ref["src"], ref["dst"], ref["w_int"], distinct_w, 6)
+        assert th.tau2_int == ref_th.tau2_int
+        assert th.n_vertices == ref_th.n_vertices == g.n
         assert sorted(distinct_w) == sorted(ref["w_int"].unique())
-        assert table.count() == 2 * len(ref)
+        assert table.count() == len(ref)
 
 
 def _threshold_components(pw, taus):
@@ -133,12 +125,14 @@ def _threshold_components(pw, taus):
     }
 
 
-def _both_ways(spark, pw):
-    """The two-direction ``(a, b, w_int)`` table of ``(src, dst, w_int)``."""
-    half = pw.rename(columns={"src": "a", "dst": "b"})
-    return spark.createDataFrame(
-        pd.concat([half, half.rename(columns={"a": "b", "b": "a"})])
-    )
+def _table(spark, pw):
+    """The ``(a, b, w_int)`` weight table of ``(src, dst, w_int)`` rows."""
+    return spark.createDataFrame(pw.rename(columns={"src": "a", "dst": "b"}))
+
+
+def _swept(weights, taus):
+    """The kernel's sweep over the forests the partitions keep."""
+    return sweep_components(*connected_components(weights), taus)
 
 
 class TestConnectedComponents:
@@ -154,9 +148,9 @@ class TestConnectedComponents:
     def test_eight_partitions_match_kernel(self, spark, pdf):
         pw = self._tied(pdf)
         taus = [0, 1, 2, 3, 4]
-        w = _both_ways(spark, pw).repartition(8)
+        w = _table(spark, pw).repartition(8)
         assert w.rdd.getNumPartitions() == 8
-        out = connected_components(w, taus)
+        out = _swept(w, taus)
         assert out == sweep_components(pw["src"], pw["dst"], pw["w_int"], taus)
         assert out == _threshold_components(pw, taus)
 
@@ -164,7 +158,7 @@ class TestConnectedComponents:
     def test_one_partition_matches_kernel(self, spark, pdf):
         pw = self._tied(pdf)
         taus = [0, 2, 4]
-        out = connected_components(_both_ways(spark, pw).coalesce(1), taus)
+        out = _swept(_table(spark, pw).coalesce(1), taus)
         assert out == _threshold_components(pw, taus)
 
     def test_empty_partitions(self, spark):
@@ -172,8 +166,7 @@ class TestConnectedComponents:
         pw = pd.DataFrame(
             {"src": [1, 2, 5, 6], "dst": [2, 3, 6, 7], "w_int": [3, 1, 3, 3]}
         )
-        w = spark.createDataFrame(pw.rename(columns={"src": "a", "dst": "b"}))
-        out = connected_components(w.repartition(8), [1, 3])
+        out = _swept(_table(spark, pw).repartition(8), [1, 3])
         assert out == sweep_components(pw["src"], pw["dst"], pw["w_int"], [1, 3])
         assert out == {
             1: {1: [1, 2, 3], 5: [5, 6, 7]},
@@ -182,56 +175,47 @@ class TestConnectedComponents:
 
     def test_two_components(self, spark):
         pw = pd.DataFrame({"src": [1, 2, 5], "dst": [2, 3, 6], "w_int": [1, 1, 1]})
-        out = connected_components(_both_ways(spark, pw), [1])
+        out = _swept(_table(spark, pw), [1])
         assert out == {1: {1: [1, 2, 3], 5: [5, 6]}}
 
     def test_comp_is_min_id(self, spark):
         pw = pd.DataFrame({"src": [10, 7], "dst": [7, 3], "w_int": [2, 2]})
-        out = connected_components(_both_ways(spark, pw), [2])
+        out = _swept(_table(spark, pw), [2])
         assert out == {2: {3: [3, 7, 10]}}
 
     def test_thresholds_stay_separate(self, spark):
         # 1-2 and 3-4 weigh 5, 2-3 weighs 1: only τ = 1 joins all four ids,
         # and a vertex with no edge at τ is in no component.
         pw = pd.DataFrame({"src": [1, 3, 2], "dst": [2, 4, 3], "w_int": [5, 5, 1]})
-        out = connected_components(_both_ways(spark, pw), [1, 5, 6])
+        out = _swept(_table(spark, pw), [1, 5, 6])
         assert out == {1: {1: [1, 2, 3, 4]}, 5: {1: [1, 2], 3: [3, 4]}, 6: {}}
 
 
 class TestLayeredComponents:
     def test_each_candidate_matches_reference(self, state):
         st, _ = state
-        weights, tau2, _, distinct_w = write_weights(
-            edge_weights(st.adjacency, st.labels)
-        )
-        pw = (
-            weights.where(F.col("a") < F.col("b"))
-            .select(F.col("a").alias("src"), F.col("b").alias("dst"), "w_int")
-            .toPandas()
-        )
-        cands = candidate_taus(distinct_w, tau2, 6)
-        out = connected_components(weights, cands)
-        expected = _threshold_components(pw, cands)
+        weights, distinct_w = write_weights(edge_weights(st.adjacency, st.labels))
+        pw = weights.toPandas().rename(columns={"a": "src", "b": "dst"})
+        th = thresholds(*connected_components(weights), distinct_w, 6)
+        expected = _threshold_components(pw, th.candidates)
         # The candidates' components must differ, or a threshold the sweep
         # skipped would go unnoticed.
         layers = {
             frozenset(map(tuple, c.values())) for c in expected.values()
         }
         assert len(layers) > 1
-        assert out == expected
+        assert th.comps == expected
 
 
 class TestExtractCommunities:
     @pytest.fixture(scope="class")
     def weights(self, spark):
-        # Edges 0-1 and 2-3 at 10, 1-4 and 3-4 at 4, in both directions.
+        # Edges 0-1 and 5-6 at 10, 1-4 and 4-5 at 4, one row each: the
+        # weak vertex 4 is the ``b`` end of one edge and the ``a`` end of
+        # the other.
         return spark.createDataFrame(
             pd.DataFrame(
-                {
-                    "a": [0, 1, 2, 3, 1, 4, 3, 4],
-                    "b": [1, 0, 3, 2, 4, 1, 4, 3],
-                    "w_int": [10, 10, 10, 10, 4, 4, 4, 4],
-                }
+                {"a": [0, 5, 1, 4], "b": [1, 6, 4, 5], "w_int": [10, 10, 4, 4]}
             )
         )
 
@@ -239,7 +223,7 @@ class TestExtractCommunities:
     def strong(self, spark):
         # The components of the τ1 = 10 graph.
         return spark.createDataFrame(
-            pd.DataFrame({"comp": [0, 0, 2, 2], "id": [0, 1, 2, 3]})
+            pd.DataFrame({"comp": [0, 0, 5, 5], "id": [0, 1, 5, 6]})
         )
 
     def test_overlap_via_weak_vertex(self, weights, strong):
@@ -248,12 +232,12 @@ class TestExtractCommunities:
             comp: set(grp["id"]) for comp, grp in out.groupby("comp")
         }
         assert cover[0] == {0, 1, 4}
-        assert cover[2] == {2, 3, 4}
+        assert cover[5] == {4, 5, 6}
 
     def test_high_tau2_blocks_weak(self, weights, strong):
         out = extract_communities(weights, strong, tau2_int=5).toPandas()
         cover = {comp: set(g["id"]) for comp, g in out.groupby("comp")}
-        assert cover == {0: {0, 1}, 2: {2, 3}}
+        assert cover == {0: {0, 1}, 5: {5, 6}}
 
 
 class TestFullPipelineEquality:
@@ -270,15 +254,14 @@ class TestFullPipelineEquality:
         }
 
     def test_entropies_match_reference(self, state):
-        # The (τ, entropy) pairs that chose τ1 are the forest kernel's on
-        # the reference engine's weights, and choose the returned τ1.
+        # The (τ, entropy) pairs that chose τ1 over the partitions' forests
+        # are those of every reference edge, and choose the returned τ1.
         st, pdf = state
         res = detect_communities(st, n_candidates=6)
         g, _, _, labels = propagate(pdf, T_ITERS, SEED)
         ref = edge_weights_ref(canon_pdf(pdf), label_counts(g, labels))
-        cands = candidate_taus(ref["w_int"].unique(), tau2_int_ref(ref), 6)
-        comps = sweep_components(ref["src"], ref["dst"], ref["w_int"], cands)
-        assert res.entropies == candidate_entropies(comps, g.n)
+        th = thresholds(ref["src"], ref["dst"], ref["w_int"], ref["w_int"].unique(), 6)
+        assert res.entropies == th.entropies
         assert select_tau1(res.entropies) == res.tau1_int
 
     def test_thresholds_ordered(self, state):
@@ -300,9 +283,9 @@ class TestFullPipelineEquality:
 def test_detect_communities_job_count(spark, state):
     # One job group around one detection, counted like
     # test_checkpoint::test_observed_counts_cost_no_job. The count was
-    # measured when τ2, |V| and the distinct weights moved onto the weight
-    # write and the τ1 sweep became one collect of per-partition forests;
-    # a job that comes back for either fails here.
+    # measured when the weight write kept one row per edge, the τ1 sweep,
+    # τ2 and |V| came from one collect of per-partition forests and the
+    # extraction broadcast the τ1 members; a job that comes back fails here.
     st, _ = state
     sc = spark.sparkContext
     sc.setJobGroup("detect", "detect")
@@ -314,8 +297,8 @@ def test_detect_communities_job_count(spark, state):
 
 
 def test_weight_write_explodes_adjacency_once(state, monkeypatch):
-    # Both directions of every edge come from one explode of the adjacency
-    # checkpoint, not from one per direction.
+    # Every edge comes once from one explode of the adjacency checkpoint,
+    # and the write needs no window: τ2 and |V| come from the forests.
     st, _ = state
     written = []
     write = P.write_weights
@@ -328,3 +311,4 @@ def test_weight_write_explodes_adjacency_once(state, monkeypatch):
     detect_communities(st, n_candidates=6)
     plan = written[0]._jdf.queryExecution().executedPlan().toString()
     assert plan.count("Generate explode") == 1
+    assert "Window" not in plan

@@ -10,13 +10,14 @@ import pytest
 from repro.core import postprocess as P
 from repro.core.incremental import apply_batch
 from repro.core.rslpa import detect_communities, run_static
-from repro.reference.postprocess_ref import postprocess_ref
+from repro.core.postprocess import thresholds
+from repro.reference.postprocess_ref import edge_weights_ref, postprocess_ref
 from repro.reference.incremental_ref import (
     apply_edits_pdf,
     ref_apply_batch,
     ref_run_static,
 )
-from repro.reference.rslpa_ref import labels_long
+from repro.reference.rslpa_ref import canon_pdf, label_counts, labels_long
 from repro.slpa.reference import run_slpa_ref
 from repro.slpa.slpa import run_slpa
 from repro.webgraph.generator import edit_batch, web_graph
@@ -60,9 +61,9 @@ def test_detect_communities(spark, second_config, graph, checkpoints, monkeypatc
     parts = []
     sweep = P.connected_components
 
-    def recorded(weights, taus):
+    def recorded(weights):
         parts.append(weights.rdd.getNumPartitions())
-        return sweep(weights, taus)
+        return sweep(weights)
 
     monkeypatch.setattr(P, "connected_components", recorded)
     checkpoints.clear()
@@ -71,6 +72,9 @@ def test_detect_communities(spark, second_config, graph, checkpoints, monkeypatc
     cover, tau1, tau2 = postprocess_ref(graph, ref.g, ref.labels, n_candidates=4)
     assert (res.tau1_int, res.tau2_int) == (tau1, tau2)
     assert {frozenset(c) for c in res.cover()} == {frozenset(c) for c in cover}
+    w = edge_weights_ref(canon_pdf(graph), label_counts(ref.g, ref.labels))
+    th = thresholds(w["src"], w["dst"], w["w_int"], w["w_int"].unique(), 4)
+    assert res.entropies == th.entropies
     assert parts[0] > 1  # the forests of several partitions are merged
     assert len(checkpoints) == 2  # the weights and the communities
 

@@ -4,11 +4,8 @@ import pandas as pd
 import pytest
 
 from repro.core import rand
-from repro.slpa.reference import (
-    memory_counts_ref,
-    run_slpa_ref,
-    slpa_communities_ref,
-)
+from repro.reference.rslpa_ref import label_counts
+from repro.slpa.reference import run_slpa_ref, slpa_communities_ref
 from repro.slpa.slpa import plurality_winners, threshold_communities
 
 
@@ -114,5 +111,5 @@ class TestThresholding:
     def test_memory_counts_sum(self):
         edges = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
         g, mem = run_slpa_ref(edges, 8, seed=1)
-        counts = memory_counts_ref(g, mem)
+        counts = label_counts(g, mem)
         assert counts.groupby("id")["cnt"].sum().eq(9).all()
