@@ -4,9 +4,13 @@ pytest session fixture in ``conftest.py``.
 Both get the same memory sizing (driver memory must be fixed before the JVM
 starts, hence the env-var dance) and the same session configs: shuffle
 partitions, Arrow, broadcast joins disabled (explicit ``F.broadcast``
-hints still apply where an algorithm calls for them), and no DataFrame
+hints still apply where an algorithm calls for them), no DataFrame
 call-site capture (a stack walk and py4j calls per DataFrame or Column
-call, for the context of Spark's error messages).
+call, for the context of Spark's error messages), and
+``spark.python.daemon.module`` set to ``repro.worker_daemon``, so that no
+Python task re-reads the zips on the worker path (about 0.2 s per task;
+see that module). A session built without ``local_session`` keeps that
+cost.
 """
 from __future__ import annotations
 
@@ -54,6 +58,7 @@ def local_session(app_name: str):
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.python.sql.dataFrameDebugging.enabled", "false")
+        .config("spark.python.daemon.module", "repro.worker_daemon")
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")
