@@ -8,9 +8,10 @@ Pipeline:
    ``w_int = Σ_l f_i(l)·f_j(l)`` everywhere (thresholds included) so the
    Spark and NumPy engines agree bit-for-bit — floats appear only in reports.
    One ``explode`` of the adjacency table, kept where ``id < nbr``, gives
-   every edge once, and each vertex's histogram, a ``map<label, count>``, is
-   joined onto both of its ends; one write keeps that ``(a, b, w_int)``
-   table, ``a < b``, and observes its distinct weights.
+   every edge once; each end's ``collect_list`` of labels is joined on, and
+   one ``mapInPandas`` counts their equal pairs with ``match_counts``, the
+   kernel of both engines. One write keeps that ``(a, b, w_int)`` table,
+   ``a < b``, and observes its distinct weights.
 2. **Forest filter** — for every τ the components of the ``w ≥ τ`` edges
    are those of the maximum spanning forest's ``w ≥ τ`` edges, so each
    partition keeps only its own forest (Kruskal; Lattanzi et al., SPAA
@@ -124,28 +125,37 @@ def thresholds(
     )
 
 
+def match_counts(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """Per row ``r``, the pairs with ``la[r, s] == lb[r, t]``: Σ_l f_a(l)·f_b(l).
+    Sorting each row of ``[la | lb]`` keys any int64 label without overflow."""
+    both = np.concatenate([la, lb], axis=1)
+    order = np.argsort(both, axis=1)
+    ranked = np.take_along_axis(both, order, axis=1)
+    # A new key starts at every row and at every change of label in a row.
+    fresh = np.ones(ranked.shape, dtype=bool)
+    fresh[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    key = np.cumsum(fresh.ravel()) - 1
+    from_a = (order < la.shape[1]).ravel()
+    in_b = np.bincount(key[~from_a], minlength=key.size)
+    return np.where(from_a, in_b[key], 0).reshape(both.shape).sum(axis=1)
+
+
+def _weigh(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    """``(a, b, w_int)`` rows of ``(nbr, id, la, lb)`` batches."""
+    for pdf in batches:
+        w = match_counts(*(np.stack(pdf[c].to_numpy()) for c in ("la", "lb")))
+        yield pd.DataFrame({"a": pdf["id"], "b": pdf["nbr"], "w_int": w})
+
+
 def edge_weights(adjacency: DataFrame, labels: DataFrame) -> DataFrame:
-    """Every edge of ``adjacency`` once, ``a < b``, with its integer weight
-    ``w_int = Σ_l f_a(l)·f_b(l)``: rows ``(a, b, w_int)``."""
-    hist = (
-        labels.groupBy("id", "label")
-        .count()
-        .groupBy("id")
-        .agg(F.map_from_entries(F.collect_list(F.struct("label", "count"))))
-        .toDF("id", "h")
-    )
-    ha, hb = F.col("ha"), F.col("hb")
-    w_int = F.aggregate(
-        F.map_keys(ha),
-        F.lit(0).cast("long"),
-        lambda acc, k: acc + ha[k] * F.coalesce(hb[k], F.lit(0)),
-    )
+    """Rows ``(a, b, w_int)``: every edge once, ``a < b``, and its weight."""
+    seqs = labels.groupBy("id").agg(F.collect_list("label"))
     return (
         adjacency.select("id", F.explode("nbrs").alias("nbr"))
         .where(F.col("id") < F.col("nbr"))
-        .join(hist.toDF("id", "ha"), "id")
-        .join(hist.toDF("nbr", "hb"), "nbr")
-        .select(F.col("id").alias("a"), F.col("nbr").alias("b"), w_int.alias("w_int"))
+        .join(seqs.toDF("id", "la"), "id")
+        .join(seqs.toDF("nbr", "lb"), "nbr")
+        .mapInPandas(_weigh, "a long, b long, w_int long")
     )
 
 

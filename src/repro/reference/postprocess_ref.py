@@ -1,10 +1,9 @@
 """NumPy/pandas reference of the rSLPA post-processing (Section III-B).
 
-Mirrors ``repro.core.postprocess`` decision-for-decision (integer weights,
-one row per canonical edge), so the Spark and reference pipelines return
-identical thresholds and covers — the equality is asserted in tests. τ2,
-|V|, the candidate grid, the τ1 sweep and the entropies come from the
-``thresholds`` function that the Spark engine runs on its driver, here
+Mirrors ``repro.core.postprocess`` decision for decision, so both engines
+return identical thresholds and covers (asserted in tests). It shares the
+Spark engine's kernels: ``match_counts`` weighs each canonical edge, and
+``thresholds`` finds τ2, |V|, the candidates, their entropies and τ1, here
 over every edge instead of the partitions' forests.
 """
 from __future__ import annotations
@@ -14,24 +13,23 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 import pandas as pd
 
-from repro.core.postprocess import thresholds
-from repro.reference.rslpa_ref import RefGraph, canon_pdf, label_counts
+from repro.core.postprocess import match_counts, thresholds
+from repro.reference.rslpa_ref import RefGraph, canon_pdf
+
+# Edges per kernel call, as in one Arrow batch of the Spark engine: the
+# kernel holds a few (rows, 2(T+1)) arrays at once.
+BATCH_ROWS = 10_000
 
 
 def edge_weights_ref(
-    edges: pd.DataFrame, counts: pd.DataFrame
+    edges: pd.DataFrame, g: RefGraph, labels: np.ndarray
 ) -> pd.DataFrame:
     """Integer match-count weights per canonical edge: (src, dst, w_int)."""
-    cs = counts.rename(columns={"id": "src", "cnt": "cnt_s"})
-    cd = counts.rename(columns={"id": "dst", "cnt": "cnt_d"})
-    m = edges.merge(cs, on="src").merge(cd, on=["dst", "label"])
-    m["prod"] = m["cnt_s"] * m["cnt_d"]
-    agg = m.groupby(["src", "dst"], as_index=False)["prod"].sum()
-    out = edges.merge(
-        agg.rename(columns={"prod": "w_int"}), on=["src", "dst"], how="left"
-    )
-    out["w_int"] = out["w_int"].fillna(0).astype(np.int64)
-    return out
+    out = canon_pdf(edges)
+    src, dst = (g.index_of(out[c].to_numpy()) for c in ("src", "dst"))
+    parts = np.array_split(np.arange(len(out)), len(out) // BATCH_ROWS + 1)
+    w = [match_counts(labels[src[p]], labels[dst[p]]) for p in parts]
+    return out.assign(w_int=np.concatenate(w))
 
 
 def extract_cover(
@@ -59,7 +57,7 @@ def postprocess_ref(
     n_candidates: int = 8,
 ) -> Tuple[List[Set[int]], int, int]:
     """Full reference post-processing: returns (cover, τ1_int, τ2_int)."""
-    weights = edge_weights_ref(canon_pdf(edges), label_counts(g, labels))
+    weights = edge_weights_ref(edges, g, labels)
     th = thresholds(
         *(weights[c].to_numpy() for c in ("src", "dst", "w_int")),
         weights["w_int"].unique(),

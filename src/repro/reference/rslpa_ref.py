@@ -127,8 +127,8 @@ def labels_long(g: RefGraph, labels: np.ndarray) -> pd.DataFrame:
 
 
 def label_counts(g: RefGraph, labels: np.ndarray) -> pd.DataFrame:
-    """Histogram of each vertex's label sequence (rSLPA labels or SLPA
-    memory): ``(id, label, cnt)``, sorted."""
+    """Histogram of each vertex's label sequence, ``(id, label, cnt)``,
+    sorted: the SLPA reference thresholds its memory with it."""
     return (
         labels_long(g, labels)
         .groupby(["id", "label"], as_index=False)

@@ -2,11 +2,17 @@
 import numpy as np
 import pandas as pd
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.cc.reference import max_spanning_forest, sweep_components
-from repro.core.postprocess import candidate_taus, select_tau1, thresholds
+from repro.core.postprocess import (
+    candidate_taus,
+    match_counts,
+    select_tau1,
+    thresholds,
+)
 from repro.reference.postprocess_ref import (
     edge_weights_ref,
     extract_cover,
@@ -63,14 +69,13 @@ class TestWeights:
         # Two vertices with identical label histograms: w_int = (T+1)^2.
         g = build_graph(_pdf([(0, 1)]))
         labels = np.array([[0, 0, 0], [0, 0, 0]])
-        counts = label_counts(g, labels)
-        w = edge_weights_ref(_pdf([(0, 1)]), counts)
+        w = edge_weights_ref(_pdf([(0, 1)]), g, labels)
         assert int(w["w_int"][0]) == 9
 
     def test_disjoint_sequences_zero_weight(self):
         g = build_graph(_pdf([(0, 1)]))
         labels = np.array([[0, 0, 0], [1, 1, 1]])
-        w = edge_weights_ref(_pdf([(0, 1)]), label_counts(g, labels))
+        w = edge_weights_ref(_pdf([(0, 1)]), g, labels)
         assert int(w["w_int"][0]) == 0
 
     def test_match_probability_semantics(self):
@@ -78,7 +83,7 @@ class TestWeights:
         # counts: common label 1 with f0=1, f1=2 -> w_int = 2, /(T+1)^2 = 2/4.
         g = build_graph(_pdf([(0, 1)]))
         labels = np.array([[0, 1], [1, 1]])
-        w = edge_weights_ref(_pdf([(0, 1)]), label_counts(g, labels))
+        w = edge_weights_ref(_pdf([(0, 1)]), g, labels)
         assert int(w["w_int"][0]) == 2
 
     def test_tau2_min_max(self):
@@ -88,6 +93,34 @@ class TestWeights:
         # max incident: v0=10, v1=10, v2=8, v3=8 -> min = 8.
         th = thresholds(w["src"], w["dst"], w["w_int"], [5, 8, 10], 8)
         assert (th.tau2_int, th.n_vertices) == (8, 4)
+
+
+# Labels near ±2^62: a ``row·span + label`` key overflows int64 on them.
+LABELS = st.sampled_from([-(2**62) - 1, -(2**62), 2**62 - 1, 2**62, 2**62 + 1])
+
+
+@st.composite
+def _label_matrices(draw):
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 5)))
+    return [draw(arrays(np.int64, shape, elements=LABELS)) for _ in range(2)]
+
+
+@given(pair=_label_matrices(), seed=st.integers(0, 2**32 - 1))
+@example(pair=[np.array([[2**62, -(2**62), 2**62]])] * 2, seed=0)  # one row
+@example(pair=[np.array([[2**62], [1]]), np.array([[2**62], [2**62]])], seed=0)
+@settings(max_examples=200, deadline=None)
+def test_match_counts_brute_force(pair, seed):
+    # The kernel equals the pair count Σ_s Σ_t [la[r,s] = lb[r,t]] for
+    # every int64 label, whatever the order of the labels within each row;
+    # the second example has width 1.
+    la, lb = pair
+    expected = [
+        sum(x == y for x in ra for y in rb)
+        for ra, rb in zip(la.tolist(), lb.tolist())
+    ]
+    assert match_counts(la, lb).tolist() == expected
+    rng = np.random.default_rng(seed)
+    assert match_counts(*(rng.permuted(m, axis=1) for m in pair)).tolist() == expected
 
 
 @given(

@@ -20,12 +20,12 @@ from repro.core.postprocess import (
 from repro.core.rslpa import detect_communities, run_static
 from repro.oracle import assert_equivalent
 from repro.reference.postprocess_ref import edge_weights_ref, postprocess_ref
-from repro.reference.rslpa_ref import canon_pdf, label_counts, propagate
+from repro.reference.rslpa_ref import canon_pdf, propagate
 from repro.webgraph.generator import web_graph
 
 T_ITERS = 8
 SEED = 5
-DETECT_JOBS = 10  # Spark jobs of one detect_communities on ``state``
+DETECT_JOBS = 9  # Spark jobs of one detect_communities on ``state``
 GRAPHS = [
     pd.DataFrame({"src": range(80), "dst": range(1, 81)}),
     web_graph(n=400, avg_degree=3, seed=3),
@@ -105,7 +105,7 @@ class TestEdgeWeights:
             spark.conf.set(key, saved)
         assert table.rdd.getNumPartitions() > 1
         g, _, _, labels = propagate(pdf, T_ITERS, SEED)
-        ref = edge_weights_ref(canon_pdf(pdf), label_counts(g, labels))
+        ref = edge_weights_ref(pdf, g, labels)
         th = thresholds(*connected_components(table), distinct_w, 6)
         ref_th = thresholds(ref["src"], ref["dst"], ref["w_int"], distinct_w, 6)
         assert th.tau2_int == ref_th.tau2_int
@@ -191,7 +191,7 @@ class TestConnectedComponents:
         assert out == {1: {1: [1, 2, 3, 4]}, 5: {1: [1, 2], 3: [3, 4]}, 6: {}}
 
 
-class TestLayeredComponents:
+class TestCandidateComponents:
     def test_each_candidate_matches_reference(self, state):
         st, _ = state
         weights, distinct_w = write_weights(edge_weights(st.adjacency, st.labels))
@@ -259,7 +259,7 @@ class TestFullPipelineEquality:
         st, pdf = state
         res = detect_communities(st, n_candidates=6)
         g, _, _, labels = propagate(pdf, T_ITERS, SEED)
-        ref = edge_weights_ref(canon_pdf(pdf), label_counts(g, labels))
+        ref = edge_weights_ref(pdf, g, labels)
         th = thresholds(ref["src"], ref["dst"], ref["w_int"], ref["w_int"].unique(), 6)
         assert res.entropies == th.entropies
         assert select_tau1(res.entropies) == res.tau1_int
@@ -283,9 +283,11 @@ class TestFullPipelineEquality:
 def test_detect_communities_job_count(spark, state):
     # One job group around one detection, counted like
     # test_checkpoint::test_observed_counts_cost_no_job. The count was
-    # measured when the weight write kept one row per edge, the τ1 sweep,
-    # τ2 and |V| came from one collect of per-partition forests and the
-    # extraction broadcast the τ1 members; a job that comes back fails here.
+    # measured when the weight write kept one row per edge and counted the
+    # label matches of one ``collect_list`` per vertex in one ``mapInPandas``,
+    # the τ1 sweep, τ2 and |V| came from one collect of per-partition forests
+    # and the extraction broadcast the τ1 members; a job that comes back
+    # fails here.
     st, _ = state
     sc = spark.sparkContext
     sc.setJobGroup("detect", "detect")
@@ -298,7 +300,8 @@ def test_detect_communities_job_count(spark, state):
 
 def test_weight_write_explodes_adjacency_once(state, monkeypatch):
     # Every edge comes once from one explode of the adjacency checkpoint,
-    # and the write needs no window: τ2 and |V| come from the forests.
+    # and the write needs no window: τ2 and |V| come from the forests. One
+    # ``mapInPandas`` counts the label matches; no SQL lambda does.
     st, _ = state
     written = []
     write = P.write_weights
@@ -312,3 +315,5 @@ def test_weight_write_explodes_adjacency_once(state, monkeypatch):
     plan = written[0]._jdf.queryExecution().executedPlan().toString()
     assert plan.count("Generate explode") == 1
     assert "Window" not in plan
+    assert "lambdafunction" not in plan
+    assert plan.count("MapInPandas") == 1

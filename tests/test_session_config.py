@@ -17,7 +17,7 @@ from repro.reference.incremental_ref import (
     ref_apply_batch,
     ref_run_static,
 )
-from repro.reference.rslpa_ref import canon_pdf, label_counts, labels_long
+from repro.reference.rslpa_ref import labels_long
 from repro.slpa.reference import run_slpa_ref
 from repro.slpa.slpa import run_slpa
 from repro.webgraph.generator import edit_batch, web_graph
@@ -72,7 +72,7 @@ def test_detect_communities(spark, second_config, graph, checkpoints, monkeypatc
     cover, tau1, tau2 = postprocess_ref(graph, ref.g, ref.labels, n_candidates=4)
     assert (res.tau1_int, res.tau2_int) == (tau1, tau2)
     assert {frozenset(c) for c in res.cover()} == {frozenset(c) for c in cover}
-    w = edge_weights_ref(canon_pdf(graph), label_counts(ref.g, ref.labels))
+    w = edge_weights_ref(graph, ref.g, ref.labels)
     th = thresholds(w["src"], w["dst"], w["w_int"], w["w_int"].unique(), 4)
     assert res.entropies == th.entropies
     assert parts[0] > 1  # the forests of several partitions are merged
