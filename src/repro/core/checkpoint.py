@@ -2,13 +2,16 @@
 
 A frame is written once, coalesced to its partition constant and
 checkpointed eagerly; the counts a caller branches on are ``Observation``
-metrics of that write, so they cost no Spark job of their own.
+metrics of that write, so they cost no Spark job of their own. A small frame
+held on the driver reaches Spark as a one-partition local frame
+(``local_frame``), which is never written.
 """
 from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from pyspark.sql import Column, DataFrame, Observation
+import pandas as pd
+from pyspark.sql import Column, DataFrame, Observation, SparkSession
 
 N_STATE_PARTS = 16  # state tables are scan-heavy; keep task counts low
 
@@ -35,3 +38,13 @@ def release(df: DataFrame) -> None:
     for leaf in (leaves.apply(i) for i in range(leaves.size())):
         if leaf.nodeName() == "LogicalRDD":
             leaf.rdd().unpersist(True)
+
+
+def local_frame(
+    spark: SparkSession, data: pd.DataFrame | Dict[str, Any], schema: str
+) -> DataFrame:
+    """``data`` (a pandas frame, or its columns) as a one-partition Spark
+    frame of ``schema``, a DDL string matched by position. Its rows live in
+    the plan, so a broadcast of it ships them without a shuffle, and a union
+    with it adds one partition."""
+    return spark.createDataFrame(pd.DataFrame(data), schema).coalesce(1)

@@ -65,16 +65,13 @@ def draw_choices_arrays(
     return id_rep, t_rep, src, pos
 
 
-def _csr(nbrs_col: pd.Series) -> Tuple[np.ndarray, np.ndarray]:
-    lens = nbrs_col.map(len).to_numpy(dtype=np.int64)
-    offsets = np.zeros(len(lens) + 1, dtype=np.int64)
-    np.cumsum(lens, out=offsets[1:])
-    flat = (
-        np.concatenate([np.asarray(a, dtype=np.int64) for a in nbrs_col])
-        if len(nbrs_col)
-        else np.empty(0, dtype=np.int64)
-    )
-    return flat, offsets
+def csr(nbrs_col: pd.Series) -> Tuple[np.ndarray, np.ndarray]:
+    """A column of neighbor arrays as ``(flat, offsets)`` (CSR layout); a
+    None array is an empty row."""
+    arrays = [np.asarray([] if a is None else a, dtype=np.int64) for a in nbrs_col]
+    offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in arrays], out=offsets[1:])
+    return np.concatenate([np.empty(0, dtype=np.int64), *arrays]), offsets
 
 
 def draw_choices(
@@ -90,7 +87,7 @@ def draw_choices(
             pdf = pdf[pdf["nbrs"].map(len) > 0]
             if pdf.empty:
                 continue
-            flat, offsets = _csr(pdf["nbrs"])
+            flat, offsets = csr(pdf["nbrs"])
             i, t, s, p = draw_choices_arrays(
                 pdf["id"].to_numpy(dtype=np.int64),
                 flat,

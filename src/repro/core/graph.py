@@ -6,9 +6,9 @@ one row per degree >= 1 vertex with its sorted neighbor array (``id``,
 ``nbrs``), built from raw edges by ``adjacency``. Every Spark path reads
 it; one ``explode`` of ``nbrs`` gives both directions of every edge. An
 edit batch changes it in two steps: ``edit`` turns the batch into the old
-and new neighbor arrays of every vertex whose array it changes (one lookup
-of the batch's endpoints in the adjacency), and ``apply_edits`` swaps those
-new rows in.
+and new neighbor arrays of every vertex whose array it changes, held on the
+driver (one lookup of the batch's endpoints in the adjacency), and
+``apply_edits`` swaps those new rows in.
 
 The sorted neighbor array is load-bearing: Algorithm 1 picks
 ``src_i^t = nbrs_i[h mod deg_i]``, and sortedness makes the pick a pure
@@ -17,9 +17,15 @@ engine and the NumPy reference agree bit-for-bit.
 """
 from __future__ import annotations
 
+from functools import reduce
+
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import IntegralType
+
+from repro.core.checkpoint import local_frame
 
 
 def check_ids(edges: DataFrame) -> None:
@@ -56,46 +62,50 @@ def adjacency(edges: DataFrame) -> DataFrame:
 
 def edit(
     adjacency: DataFrame, inserts: DataFrame | None, deletes: DataFrame | None
-) -> DataFrame:
-    """The vertices whose neighbor array one batch changes: columns ``id``,
-    ``old_nbrs``, ``new_nbrs`` (sorted). A null ``old_nbrs`` marks a new
-    vertex, a null ``new_nbrs`` one that drops to degree 0. Edits that change
+) -> pd.DataFrame:
+    """The vertices whose neighbor array one batch changes, as a driver-side
+    frame sorted by ``id``: columns ``id`` (int64), ``old_nbrs`` and
+    ``new_nbrs`` (sorted int64 arrays). A None ``old_nbrs`` marks a new
+    vertex, a None ``new_nbrs`` one that drops to degree 0. Edits that change
     nothing, such as inserting a present edge, leave no row.
 
     Deletes apply after inserts: an edge both inserted and deleted in one
-    batch ends up absent."""
-    none = adjacency.select(
-        F.col("id").alias("src"), F.col("id").alias("dst")
-    ).where(F.lit(False))
-    ins, dele = (
-        _both_ways(none if e is None else e).withColumn("ins", F.lit(i))
+    batch ends up absent. One action collects the batch, and one broadcast
+    semi-join against its endpoint ids fetches their adjacency rows."""
+    parts = [
+        e.select(
+            F.col("src").cast("long"), F.col("dst").cast("long"), F.lit(i).alias("ins")
+        )
         for e, i in ((inserts, True), (deletes, False))
-    )
-    # A batch is small: one partition groups it without a shuffle.
+        if e is not None
+    ]
     batch = (
-        ins.unionByName(dele)
-        .coalesce(1)
-        .groupBy("id")
-        .agg(
-            F.collect_list(F.when(F.col("ins"), F.col("nbr"))).alias("ins"),
-            F.collect_list(F.when(~F.col("ins"), F.col("nbr"))).alias("dels"),
-        )
+        reduce(DataFrame.unionByName, parts).toPandas()
+        if parts
+        else pd.DataFrame({"src": [], "dst": [], "ins": []})
     )
-    rows = adjacency.join(F.broadcast(batch.select("id")), "id", "left_semi")
-    old = F.coalesce("nbrs", F.array().cast("array<long>"))
-    new = F.array_sort(F.array_except(F.array_union(old, "ins"), "dels"))
-    return (
-        batch.join(F.broadcast(rows), "id", "left")
-        .select(
-            "id", F.col("nbrs").alias("old_nbrs"), old.alias("old"), new.alias("new")
-        )
-        .where(F.col("old") != F.col("new"))
-        .select(
-            "id",
-            "old_nbrs",
-            F.when(F.size("new") > 0, F.col("new")).alias("new_nbrs"),
-        )
-    )
+    batch = batch[batch["src"] != batch["dst"]]
+    # Each edit at both of its endpoints, grouped by endpoint.
+    ends = np.concatenate([batch["src"], batch["dst"]]).astype(np.int64)
+    order = np.argsort(ends, kind="stable")
+    nbrs = np.concatenate([batch["dst"], batch["src"]]).astype(np.int64)[order]
+    ins = np.concatenate([batch["ins"], batch["ins"]]).astype(bool)[order]
+    ids, starts = np.unique(ends[order], return_index=True)
+    changed = []
+    if len(ids):
+        ends_df = local_frame(adjacency.sparkSession, {"id": ids}, "id long")
+        rows = adjacency.join(F.broadcast(ends_df), "id", "left_semi").toPandas()
+        old_of = dict(zip(rows["id"].tolist(), rows["nbrs"]))
+        none = np.empty(0, dtype=np.int64)
+        cut = starts[1:]
+        for v, nb, add in zip(ids.tolist(), np.split(nbrs, cut), np.split(ins, cut)):
+            old = old_of.get(v)
+            base = none if old is None else old
+            new = np.setdiff1d(np.union1d(base, nb[add]), nb[~add])
+            if not np.array_equal(base, new):
+                changed.append((v, old, new if len(new) else None))
+    out = pd.DataFrame(changed, columns=["id", "old_nbrs", "new_nbrs"])
+    return out.astype({"id": np.int64})
 
 
 def apply_edits(adjacency: DataFrame, changed: DataFrame) -> DataFrame:

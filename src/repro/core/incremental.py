@@ -1,26 +1,30 @@
 """Incremental updating after an edge-edit batch (paper Section IV, Alg. 2).
 
-Every per-batch frame is built from the batch itself, never by comparing the
-old and new big tables: one **vertex frame** with the old and new neighbor
-arrays of the affected vertices (those whose neighbor array the batch
-changes, built by ``repro.core.graph.edit`` with one lookup of the batch's
-endpoints in the adjacency), the **decision frame** of their (vertex,
-iteration) rows, and one **message frontier** per correction round. The new
-state's tables are each written once, as checkpoints
-(``repro.core.checkpoint``): the adjacency and choice tables with the vertex
-and decision frames' rows swapped in, the label table with every round's
+Every per-batch frame is held on the driver, as pandas and NumPy arrays,
+and is built from the batch itself, never by comparing the old and new big
+tables: the **vertex frame** with the old and new neighbor arrays of the
+affected vertices (those whose neighbor array the batch changes, from
+``repro.core.graph.edit``), the **decisions** of their (vertex, iteration)
+rows, and one **message wave** per correction round. Spark does only what
+needs the big tables: the lookups of the rows these frames name (the
+affected vertices' old choice rows, the re-picked rows' source labels, each
+round's receivers) and the three writes of the new state, each a checkpoint
+(``repro.core.checkpoint``): the adjacency and choice tables with the
+affected vertices' rows swapped in, and the label table with every row's
 latest message applied. So a state is plain checkpoints however many
-batches it has seen. The batch's counts are observed on these writes, and
-the per-batch frames are released once the new tables are written.
+batches it has seen. The batch's counts are read off the driver's frames;
+``n_value_changed`` and η are observed on the label write.
 
-Dataflow note: these frames are small relative to the label/choice tables,
-so every join against a big table broadcasts the small side explicitly
-(``F.broadcast``). This is the DataFrame equivalent of the paper's point
-that Correction Propagation sends *small messages to receivers* rather than
-reshuffling global state — and it is what makes the incremental path
-cheaper than from-scratch resolution (whose pointer-doubling self-joins are
-inherently big-big shuffles). The session-level broadcast-join ban from
-``repro.spark_session`` stays in force for everything else.
+Dataflow note: a per-batch frame reaches Spark as a one-partition local
+frame (``checkpoint.local_frame``) that the lookup or write broadcasts
+(``F.broadcast``), and each lookup's result is collected. Both are
+O(affected rows + messages), which is the DataFrame equivalent of the
+paper's point that Correction Propagation sends *small messages to
+receivers* rather than reshuffling global state: a batch runs no shuffle,
+where from-scratch resolution's pointer-doubling self-joins are inherently
+big-big shuffles. The driver never holds a big table. The session-level
+broadcast-join ban from ``repro.spark_session`` stays in force for
+everything else.
 
 Two phases, exactly as the paper structures them:
 
@@ -28,10 +32,11 @@ Two phases, exactly as the paper structures them:
 is to "pretend we use the same series of random numbers to perform label
 propagation on the new graph": every (vertex, iteration) row of an affected
 vertex draws a candidate ``(src, pos)`` with Algorithm 1's own draw
-(``repro.core.choices.draw_choices``) on its new neighbor array at the
-batch's epoch. A row keeps its old ``(src, pos)`` iff the old ``src`` is
-still a neighbor and the candidate ``src`` is an old neighbor; otherwise it
-takes the candidate. This realizes the paper's three categories:
+(``repro.core.choices.draw_choices_arrays``, on the driver) on its new
+neighbor array at the batch's epoch. A row keeps its old ``(src, pos)`` iff
+the old ``src`` is still a neighbor and the candidate ``src`` is an old
+neighbor; otherwise it takes the candidate (``keep_rule``, which the
+reference engine also calls). This realizes the paper's three categories:
 
 * Category 1 (no neighbor change) — row untouched (vertex not in the
   affected set at all).
@@ -49,14 +54,15 @@ are missing (new, or previously degree-0) re-picks everything; a vertex that
 drops to degree 0 loses its rows (its sequence reverts to ``(i)``).
 
 **2. Correction Propagation** (Section IV-B/C, Algorithm 2). Re-picked rows
-form the dirty frontier; each round fetches ``l_src^pos`` for the frontier,
-applies value changes, and forwards them to the *receivers* — the rows whose
-``(src, pos)`` equals a changed ``(id, t)``. The paper materializes receiver
-records ``R_i``; here the choice table itself is the record and receivers
-are recovered by the reverse equi-join on ``(src, pos)`` — the same
-information, maintained for free (DESIGN.md Section 2). Because a receiver's
-iteration is strictly larger than its source's, the loop terminates within T
-rounds; in practice it runs for the depth of the perturbed propagation
+form the round-0 wave, each carrying ``l_src^pos`` from the pre-update
+labels; every later wave forwards the previous one's values to its
+*receivers* — the rows whose ``(src, pos)`` equals a sender's ``(id, t)``.
+The paper materializes receiver records ``R_i``; here the choice table
+itself is the record and receivers are recovered by the reverse equi-join
+on ``(src, pos)`` — the same information, maintained for free (DESIGN.md
+Section 2). A receiver's iteration is strictly larger than its source's
+position, so rows at ``t = T`` send nothing, and the loop terminates within
+T rounds; in practice it runs for the depth of the perturbed propagation
 trees, which is O(log T) in expectation.
 
 The final label table provably equals a from-scratch resolution of the
@@ -66,18 +72,20 @@ asserted bit-for-bit in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from typing import List
+from typing import List, Tuple
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import graph as G
-from repro.core.checkpoint import N_STATE_PARTS, materialize, release
-from repro.core.choices import draw_choices
+from repro.core.checkpoint import N_STATE_PARTS, local_frame, materialize
+from repro.core.choices import csr, draw_choices_arrays
 from repro.core.rslpa import RslpaState
 
-N_BATCH_PARTS = 8  # partitions of every per-batch frame; they are small
+# (flat, offsets): row r is flat[offsets[r]:offsets[r+1]]
+Csr = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -98,6 +106,37 @@ class UpdateStats:
         return len(self.round_deltas)
 
 
+def in_rows(x: np.ndarray, rows: np.ndarray, sets: Csr) -> np.ndarray:
+    """For each ``i``, whether ``x[i]`` is in row ``rows[i]`` of ``sets``.
+
+    Values are ranked before they are keyed by row, so the test is exact for
+    every int64 value and a key (row times the number of distinct values,
+    plus the rank) cannot overflow at any size the driver holds."""
+    flat, offsets = sets
+    owner = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+    ranks, inv = np.unique(np.concatenate([flat, x]), return_inverse=True)
+    k = len(ranks)
+    in_set = owner * k + inv[: len(flat)]
+    return np.isin(np.asarray(rows, dtype=np.int64) * k + inv[len(flat) :], in_set)
+
+
+def keep_rule(
+    old_src: np.ndarray,
+    cand_src: np.ndarray,
+    new_rows: np.ndarray,
+    new_nbrs: Csr,
+    old_rows: np.ndarray,
+    old_nbrs: Csr,
+) -> np.ndarray:
+    """Phase 1's keep rule over flat (vertex, iteration) rows, the one kernel
+    of both engines: row ``i`` keeps its old ``(src, pos)`` iff ``old_src[i]``
+    is in its vertex's new neighbor set (row ``new_rows[i]`` of ``new_nbrs``)
+    and ``cand_src[i]`` in its old one (row ``old_rows[i]`` of ``old_nbrs``).
+    A vertex without old rows has an empty old set, so it keeps nothing
+    whatever ``old_src`` holds."""
+    return in_rows(old_src, new_rows, new_nbrs) & in_rows(cand_src, old_rows, old_nbrs)
+
+
 def apply_batch(
     state: RslpaState, inserts: DataFrame | None, deletes: DataFrame | None
 ) -> tuple[RslpaState, UpdateStats]:
@@ -111,143 +150,146 @@ def apply_batch(
             G.check_ids(edits)
     n_iters, seed = state.n_iters, state.seed
     epoch = state.epoch + 1
+    spark = state.adjacency.sparkSession
 
-    # The affected vertices are those whose neighbor array the batch
-    # changes. A null ``old_nbrs`` marks a new vertex, a null ``new_nbrs``
-    # one that dropped to degree 0. Each added or removed edge appears at
-    # both of its endpoints.
-    empty = F.array().cast("array<long>")
-    old_nbrs = F.coalesce("old_nbrs", empty)
-    new_nbrs = F.coalesce("new_nbrs", empty)
-    vert, seen = materialize(
-        G.edit(state.adjacency, inserts, deletes),
-        N_BATCH_PARTS,
-        n_affected=F.count("*"),
-        ends_a=F.sum(F.size(F.array_except(new_nbrs, old_nbrs))),
-        ends_d=F.sum(F.size(F.array_except(old_nbrs, new_nbrs))),
-    )
-    n_affected = seen["n_affected"]
-    if n_affected == 0:
-        release(vert)
+    # The affected vertices, sorted by id. Each added or removed edge
+    # appears at both of its endpoints.
+    vert = G.edit(state.adjacency, inserts, deletes)
+    if vert.empty:
         return state, UpdateStats(0, 0, 0, 0, 0, 0)
-    m_a, m_d = seen["ends_a"] // 2, seen["ends_d"] // 2
-    new_adj, _ = materialize(G.apply_edits(state.adjacency, vert), N_STATE_PARTS)
+    ids = vert["id"].to_numpy(dtype=np.int64)
+    new_nbrs, old_nbrs = csr(vert["new_nbrs"]), csr(vert["old_nbrs"])
+    new_deg, old_deg = np.diff(new_nbrs[1]), np.diff(old_nbrs[1])
+    n_kept = in_rows(new_nbrs[0], np.repeat(np.arange(len(ids)), new_deg), old_nbrs)
+    m_a, m_d = (int(len(n[0]) - n_kept.sum()) // 2 for n in (new_nbrs, old_nbrs))
+    changed = local_frame(
+        spark, vert[["id", "new_nbrs"]], "id long, new_nbrs array<long>"
+    )
+    new_adj, _ = materialize(G.apply_edits(state.adjacency, changed), N_STATE_PARTS)
 
     # --- Phase 1: re-pick affected rows -----------------------------------
     # The candidates are Algorithm 1's draw on the new graph at this epoch;
-    # the keep rule is the module docstring's. Rows of a vertex without old
-    # rows (new, or degree 0 before) always take the candidate.
-    cand = draw_choices(
-        vert.where(F.col("new_nbrs").isNotNull()).select(
-            "id", F.col("new_nbrs").alias("nbrs")
-        ),
-        n_iters,
-        seed,
-        epoch,
+    # the keep rule is the module docstring's. A vertex without old rows
+    # (new, or degree 0 before) has an empty old set, so it always takes
+    # the candidate.
+    live = np.flatnonzero(new_deg > 0)
+    # Dropped vertices' rows are empty, so the live rows' starts and the
+    # end of the flat array are the live vertices' own CSR offsets.
+    live_offsets = np.append(new_nbrs[1][live], len(new_nbrs[0]))
+    cid, ct, csrc, cpos = draw_choices_arrays(
+        ids[live], new_nbrs[0], live_offsets, n_iters, seed, epoch
     )
-    old_rows = state.choices.join(F.broadcast(vert), "id").select(
-        "id",
-        "t",
-        F.col("src").alias("old_src"),
-        F.col("pos").alias("old_pos"),
-        "old_nbrs",
-        "new_nbrs",
-    )
-    keep = F.coalesce(
-        F.array_contains("new_nbrs", F.col("old_src"))
-        & F.array_contains("old_nbrs", F.col("src")),
-        F.lit(False),
-    )
-    dec, _ = materialize(
-        cand.join(old_rows, ["id", "t"], "left").select(
-            "id",
-            "t",
-            F.when(keep, F.col("old_src")).otherwise(F.col("src")).alias("src"),
-            F.when(keep, F.col("old_pos")).otherwise(F.col("pos")).alias("pos"),
-            (~keep).alias("changed"),
-        ),
-        N_BATCH_PARTS,
+    old_src, old_pos = np.zeros((2, len(cid)), dtype=np.int64)
+    with_old = ids[(new_deg > 0) & (old_deg > 0)]
+    if len(with_old):
+        lookup = local_frame(spark, {"id": with_old}, "id long")
+        old = state.choices.join(F.broadcast(lookup), "id", "left_semi").toPandas()
+        at = np.searchsorted(ids[live], old["id"]) * n_iters + old["t"].to_numpy() - 1
+        old_src[at], old_pos[at] = old["src"], old["pos"]
+    rows = np.repeat(live, n_iters)
+    keep = keep_rule(old_src, csrc, rows, new_nbrs, rows, old_nbrs)
+    dec = pd.DataFrame(
+        {
+            "id": cid,
+            "t": ct,
+            "src": np.where(keep, old_src, csrc),
+            "pos": np.where(keep, old_pos, cpos),
+        }
     )
     # The new choice table: the old one with the affected vertices' rows
-    # swapped for the decision frame's.
+    # swapped for the decisions.
     new_choices, _ = materialize(
         state.choices.join(
-            F.broadcast(vert.select("id")), "id", "left_anti"
-        ).unionByName(dec.select("id", "t", "src", "pos")),
+            F.broadcast(local_frame(spark, vert[["id"]], "id long")), "id", "left_anti"
+        ).unionByName(
+            local_frame(spark, dec, "id long, t int, src long, pos int")
+        ),
         N_STATE_PARTS,
     )
 
     # --- Phase 2: Correction Propagation ----------------------------------
-    # Lazy pre-update snapshot: old labels minus dropped vertices, plus
-    # anchor rows for new vertices (both sides of ``vert``).
-    new_vertex_rows = vert.where(F.col("old_nbrs").isNull()).select(
-        "id",
-        F.explode(F.sequence(F.lit(0), F.lit(n_iters))).alias("t"),
-        F.col("id").alias("label"),
-    )
-    labels_init = state.labels.join(
-        F.broadcast(vert.where(F.col("new_nbrs").isNull()).select("id")),
-        "id",
-        "left_anti",
-    ).unionByName(new_vertex_rows)
-    init_view = labels_init.toDF("lid", "lt", "llabel")
-
-    # Round 0: re-picked rows fetch their new source label from the snapshot
-    # (every other row still holds its old value, and stale reads are
-    # repaired by the message cascade below, exactly as in Algorithm 2). The
-    # source row always exists, so there is one message per re-picked row.
-    # From here on, messages CARRY the new label value: the receiver fan-out
-    # join delivers (receiver_id, receiver_t, new_value) in one pass, so a
-    # round needs no label lookups and no compare pass — receivers are simply
-    # re-notified whenever their source was rewritten, and the t-monotone
-    # receiver DAG bounds the cascade by the propagation tree depth
-    # (O(log T) expected, <= T worst case). Only the frontier is kept per
-    # round; the label table is written once after the loop.
-    frontier = dec.where("changed")
-    dirty, seen = materialize(
-        F.broadcast(frontier)
-        .join(
-            init_view,
-            (frontier["src"] == init_view["lid"])
-            & (frontier["pos"] == init_view["lt"]),
-        )
-        .select("id", "t", F.col("llabel").alias("label")),
-        N_BATCH_PARTS,
-        n_dirty=F.count("*"),
-    )
-    waves = [dirty.withColumn("round", F.lit(0))]
-    n_repicked = seen["n_dirty"]
+    # Round 0: re-picked rows fetch their new source label from the
+    # pre-update labels (every other row still holds its old value, and
+    # stale reads are repaired by the message cascade below, exactly as in
+    # Algorithm 2). A new vertex's labels there are its anchor placeholder,
+    # its id, so the driver answers those; the other sources are one exact
+    # (id, t) lookup. Every source exists, so there is one message per
+    # re-picked row. From here on, messages CARRY the new label value: the
+    # receiver fan-out join delivers (receiver_id, receiver_t, new_value)
+    # in one pass, so a round needs no label lookups and no compare pass —
+    # receivers are simply re-notified whenever their source was rewritten,
+    # and the t-monotone receiver DAG bounds the cascade by the propagation
+    # tree depth (O(log T) expected, <= T worst case).
+    picked = dec[~keep]
+    new_ids = ids[old_deg == 0]
+    wanted = picked[["src", "pos"]].drop_duplicates()
+    from_new = np.isin(wanted["src"].to_numpy(), new_ids)
+    found = [wanted[from_new].assign(label=wanted["src"][from_new])]
+    if not from_new.all():
+        lookup = local_frame(spark, wanted[~from_new], "id long, t int")
+        got = state.labels.join(F.broadcast(lookup), ["id", "t"]).toPandas()
+        found.append(got.set_axis(["src", "pos", "label"], axis=1))
+    sources = pd.concat(found).astype(np.int64)
+    wave = picked.merge(sources, on=["src", "pos"])[["id", "t", "label"]]
+    waves = [wave]
     round_deltas: List[int] = []
-    while seen["n_dirty"] > 0:
+    while len(wave):
         if len(round_deltas) > n_iters + 1:
             raise RuntimeError("correction propagation did not converge")
-        round_deltas.append(seen["n_dirty"])
-        sources = dirty.toDF("sid", "st", "slabel")
-        dirty, seen = materialize(
+        round_deltas.append(len(wave))
+        # A receiver's t exceeds its source's pos, so rows at t = T have
+        # no receivers and need no scan.
+        senders = wave[wave["t"] < n_iters]
+        if senders.empty:
+            break
+        s = local_frame(spark, senders, "sid long, st int, slabel long")
+        wave = (
             new_choices.join(
-                F.broadcast(sources),
-                (new_choices["src"] == sources["sid"])
-                & (new_choices["pos"] == sources["st"]),
-            ).select(new_choices["id"], "t", F.col("slabel").alias("label")),
-            N_BATCH_PARTS,
-            n_dirty=F.count("*"),
+                F.broadcast(s),
+                (new_choices["src"] == s["sid"]) & (new_choices["pos"] == s["st"]),
+            )
+            .select(new_choices["id"], "t", F.col("slabel").alias("label"))
+            .toPandas()
         )
-        waves.append(dirty.withColumn("round", F.lit(len(round_deltas))))
+        waves.append(wave)
 
     # Latest write wins; a row written in round 0 is a re-picked one. η
     # counts on the label write: only overlaid rows can differ from the
-    # snapshot, and every re-picked row is overlaid.
+    # pre-update labels, and every re-picked row is overlaid.
     overlay = (
-        reduce(DataFrame.unionByName, waves)
-        .groupBy("id", "t")
-        .agg(
-            F.max_by("label", "round").alias("new_label"),
-            (F.min("round") == 0).alias("repicked"),
-        )
+        pd.concat([w.assign(round=r) for r, w in enumerate(waves)])
+        .astype(np.int64)
+        .groupby(["id", "t"], as_index=False, sort=False)
+        .agg(new_label=("label", "last"), repicked=("round", "min"))
     )
+    overlay["repicked"] = overlay["repicked"] == 0
+    # The pre-update labels: the old ones minus dropped vertices, plus the
+    # anchor rows ``(id, t, id)`` of new vertices.
+    labels_init = state.labels
+    dropped = ids[new_deg == 0]
+    if len(dropped):
+        gone = local_frame(spark, {"id": dropped}, "id long")
+        labels_init = labels_init.join(F.broadcast(gone), "id", "left_anti")
+    if len(new_ids):
+        anchors = {
+            "id": np.repeat(new_ids, n_iters + 1),
+            "t": np.tile(np.arange(n_iters + 1), len(new_ids)),
+            "label": np.repeat(new_ids, n_iters + 1),
+        }
+        labels_init = labels_init.unionByName(
+            local_frame(spark, anchors, "id long, t int, label long")
+        )
     value_changed = F.col("new_label") != F.col("label")
     labels, seen = materialize(
-        labels_init.join(F.broadcast(overlay), ["id", "t"], "left"),
+        labels_init.join(
+            F.broadcast(
+                local_frame(
+                    spark, overlay, "id long, t int, new_label long, repicked boolean"
+                )
+            ),
+            ["id", "t"],
+            "left",
+        ),
         N_STATE_PARTS,
         "id",
         "t",
@@ -255,8 +297,6 @@ def apply_batch(
         n_value_changed=F.count_if(value_changed),
         eta=F.count_if(value_changed | F.col("repicked")),
     )
-    for done in [vert, dec, *waves]:
-        release(done)
 
     new_state = replace(
         state,
@@ -268,8 +308,8 @@ def apply_batch(
     stats = UpdateStats(
         m_inserted=m_a,
         m_deleted=m_d,
-        n_affected_vertices=n_affected,
-        n_repicked=n_repicked,
+        n_affected_vertices=len(ids),
+        n_repicked=len(waves[0]),
         n_value_changed=seen["n_value_changed"],
         eta=seen["eta"],
         round_deltas=round_deltas,

@@ -1,10 +1,10 @@
 """NumPy reference of the incremental update (paper Section IV).
 
-Applies the Category 1/2/3 keep rule of ``repro.core.incremental`` in NumPy
-to the candidates of Algorithm 1's draw on the new graph
-(``draw_choice_matrices`` at the batch's epoch, the kernel both engines
-share), so the updated choice table and label table are bit-for-bit equal to
-the Spark engine's (tested).
+Applies the Category 1/2/3 keep rule of ``repro.core.incremental``
+(``keep_rule``) to the candidates of Algorithm 1's draw on the new graph
+(``draw_choice_matrices`` at the batch's epoch); both are kernels the two
+engines share, so the updated choice table and label table are bit-for-bit
+equal to the Spark engine's (tested).
 Labels are recomputed by the sequential recurrence and diffed to measure the
 paper's η (number of labels needing update) — this is the measurement oracle
 behind the Fig. 9 η table and the complexity-model validation, where running
@@ -18,6 +18,7 @@ from typing import Dict, Tuple
 import numpy as np
 import pandas as pd
 
+from repro.core.incremental import keep_rule
 from repro.reference.rslpa_ref import (
     RefGraph,
     build_graph,
@@ -85,34 +86,38 @@ def ref_apply_batch(
              "n_value_changed", "eta"),
             0,
         )
-    affected = {v for e in removed | added for v in e}
+    affected = np.fromiter(
+        {v for e in removed | added for v in e}, dtype=np.int64
+    )
     g_new = build_graph(new_edges)
-    old_index = {int(v): i for i, v in enumerate(state.g.ids)}
+    old_g = state.g
+    at = np.minimum(np.searchsorted(old_g.ids, g_new.ids), old_g.n - 1)
+    present = old_g.ids[at] == g_new.ids
+    old_row = at[present]
 
     # Candidates: Algorithm 1's draw on the new graph at this epoch. A row
     # keeps its old (src, pos) iff its vertex is unaffected, or its src is
-    # still a neighbor and its candidate src is an old neighbor.
+    # still a neighbor and its candidate src is an old neighbor
+    # (``keep_rule``, the Spark engine's kernel). A new vertex keeps nothing.
     src_new, pos_new = draw_choice_matrices(g_new, T, seed, epoch)
     keep = np.zeros((g_new.n, T), dtype=bool)
+    keep[present] = True
+    sel = np.flatnonzero(present & np.isin(g_new.ids, affected))
+    sel_old = at[sel]
+    keep[sel] = keep_rule(
+        state.src[sel_old].ravel(),
+        src_new[sel].ravel(),
+        np.repeat(sel, T),
+        (g_new.nbrs_flat, g_new.offsets),
+        np.repeat(sel_old, T),
+        (old_g.nbrs_flat, old_g.offsets),
+    ).reshape(-1, T)
+    src_new[present] = np.where(keep[present], state.src[old_row], src_new[present])
+    pos_new[present] = np.where(keep[present], state.pos[old_row], pos_new[present])
     # labels_init mirrors the Spark engine: old label where the row survived,
     # anchor placeholder (the vertex id) where it is new.
     labels_init = np.repeat(g_new.ids[:, None], T + 1, axis=1)
-    for row, vid in enumerate(g_new.ids):
-        old_row = old_index.get(int(vid))
-        if old_row is None:
-            continue  # new vertex: every row takes its candidate
-        labels_init[row] = state.labels[old_row]
-        src_old = state.src[old_row]
-        if int(vid) in affected:
-            new_nbrs = g_new.nbrs_flat[g_new.offsets[row] : g_new.offsets[row + 1]]
-            old_nbrs = state.g.nbrs_flat[
-                state.g.offsets[old_row] : state.g.offsets[old_row + 1]
-            ]
-            keep[row] = np.isin(src_old, new_nbrs) & np.isin(src_new[row], old_nbrs)
-        else:
-            keep[row] = True
-        src_new[row] = np.where(keep[row], src_old, src_new[row])
-        pos_new[row] = np.where(keep[row], state.pos[old_row], pos_new[row])
+    labels_init[present] = state.labels[old_row]
     repicked = ~keep
 
     labels_new = resolve_label_matrix(g_new, src_new, pos_new)

@@ -76,9 +76,11 @@ def _edit(spark, adj, inserts, deletes):
         None if p is None else spark.createDataFrame(p, "src long, dst long")
         for p in (inserts, deletes)
     )
+    out = G.edit(adj, *frames)
+    assert out["id"].dtype == "int64" and out["id"].is_monotonic_increasing
     return {
-        (r["id"], *(None if a is None else tuple(a) for a in r[1:]))
-        for r in G.edit(adj, *frames).collect()
+        (int(i), *(None if a is None else tuple(a.tolist()) for a in arrays))
+        for i, *arrays in out.itertuples(index=False)
     }
 
 

@@ -8,8 +8,11 @@ against the Section IV-D model.
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import complexity as cx
+from repro.core.incremental import keep_rule
 from repro.reference.incremental_ref import (
     apply_edits_pdf,
     ref_apply_batch,
@@ -246,3 +249,73 @@ class TestEtaModel:
             _, stats = ref_apply_batch(st, ins, dele)
             per_edit.append(stats["eta"] / b)
         assert per_edit[0] > per_edit[1] > per_edit[2]
+
+
+def _csr(sets):
+    flat = [sorted(s) for s in sets]
+    offsets = np.cumsum([0] + [len(f) for f in flat])
+    return np.array(sum(flat, []), dtype=np.int64), offsets
+
+
+@st.composite
+def _keep_cases(draw):
+    """Old and new neighbor sets (either may be empty) drawn from a small
+    pool of int64 values, so that rows hit and miss, and flat rows that
+    index them."""
+    pool = draw(
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6, unique=True)
+    )
+    sets = st.lists(st.frozensets(st.sampled_from(pool)), min_size=1, max_size=5)
+    old, new = draw(sets), draw(sets)
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(new) - 1),
+                st.integers(0, len(old) - 1),
+                st.sampled_from(pool),
+                st.sampled_from(pool),
+            ),
+            max_size=12,
+        )
+    )
+    return old, new, rows
+
+
+def _keep_by_sets(old, new, rows):
+    return [s in new[rn] and c in old[ro] for rn, ro, s, c in rows]
+
+
+class TestKeepRule:
+    """``keep_rule``, the keep kernel both engines call, against per-row
+    Python sets."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_keep_cases())
+    def test_matches_sets(self, case):
+        old, new, rows = case
+        r_new, r_old, s_old, cand = (
+            np.array([r[i] for r in rows], dtype=np.int64) for i in range(4)
+        )
+        got = keep_rule(s_old, cand, r_new, _csr(new), r_old, _csr(old))
+        assert got.tolist() == _keep_by_sets(old, new, rows)
+
+    def test_no_old_rows_and_all_old_neighbors_lost(self):
+        # Vertex 0 is new (no old set, so no old rows: its placeholder
+        # old_src 0 happens to be a new neighbor). Vertex 1 lost both old
+        # neighbors and gained 9. Vertex 2 kept 3 and gained 4.
+        old = [frozenset(), frozenset({2, 3}), frozenset({3})]
+        new = [frozenset({0, 5}), frozenset({9}), frozenset({3, 4})]
+        rows = [
+            (0, 0, 0, 5),
+            (1, 1, 2, 3),
+            (1, 1, 3, 9),
+            (2, 2, 3, 3),
+            (2, 2, 3, 4),
+            (2, 2, 5, 3),
+        ]
+        r_new, r_old, s_old, cand = (
+            np.array([r[i] for r in rows], dtype=np.int64) for i in range(4)
+        )
+        got = keep_rule(s_old, cand, r_new, _csr(new), r_old, _csr(old))
+        assert got.tolist() == _keep_by_sets(old, new, rows)
+        assert got.tolist() == [False, False, False, True, False, False]

@@ -1,6 +1,8 @@
 """Tests for Spark Correction Propagation (repro.core.incremental):
 bit-equality against the reference incremental engine, and the
 incremental-equals-scratch invariant on the Spark dataflow itself."""
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -18,6 +20,7 @@ from repro.webgraph.generator import edit_batch, web_graph
 
 T_ITERS = 8
 SEED = 5
+APPLY_JOBS = 20  # Spark jobs of ``_fixed_batch`` on ``base``
 
 
 def _sorted_labels(df):
@@ -34,6 +37,27 @@ def base(spark):
     pdf = web_graph(n=250, avg_degree=6, seed=1)
     st = run_static(spark.createDataFrame(pdf), T_ITERS, SEED)
     return st, pdf
+
+
+def _fixed_batch(pdf):
+    return edit_batch(pdf, 30, seed=9)
+
+
+def _apply_counted(spark, st, ins, dele):
+    """``apply_batch`` of pandas edits under a job group of its own; returns
+    its result and the number of Spark jobs it ran."""
+    frames = [None if e is None else spark.createDataFrame(e) for e in (ins, dele)]
+    sc = spark.sparkContext
+    group = f"apply-{next(_GROUPS)}"
+    sc.setJobGroup(group, group)
+    try:
+        out = apply_batch(st, *frames)
+    finally:
+        sc.setJobGroup("", "")
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+_GROUPS = itertools.count()
 
 
 def _is_checkpoint(df):
@@ -81,7 +105,7 @@ def _bit_identical_cases(pdf):
         chained.append((ins, dele))
         cur = apply_edits_pdf(cur, ins, dele)
     return [
-        ("random batch", [edit_batch(pdf, 30, seed=9)]),
+        ("random batch", [_fixed_batch(pdf)]),
         (
             "inserted and deleted in one batch",
             [(_pairs([p0, e1]), _pairs([p0, e1]))],
@@ -198,3 +222,57 @@ class TestApplyBatch:
         pd.testing.assert_frame_equal(
             _sorted_labels(st2.labels), _sorted_labels(scratch)
         )
+
+
+class TestApplyBatchPlan:
+    """The Spark work of one batch: lookups of the rows its driver-side
+    frames name, one scan per correction round, and the three state writes
+    (DESIGN.md §7)."""
+
+    def test_job_count(self, spark, base):
+        # Counted like ``test_postprocess_spark::DETECT_JOBS``. A job that
+        # comes back fails here.
+        st, pdf = base
+        (_, stats), jobs = _apply_counted(spark, st, *_fixed_batch(pdf))
+        assert stats.rounds > 0
+        assert jobs == APPLY_JOBS
+
+    def test_no_scan_for_rows_at_t_max(self, spark):
+        # With T = 1 every re-picked row is at t = T, which no row can pick
+        # as its source: the round-0 wave is the last one, and no receiver
+        # scan runs. The batch runs its fixed jobs only: the batch collect,
+        # and two (broadcast, then collect or write) for each of the
+        # endpoint lookup, the adjacency write, the old-choice lookup, the
+        # choice write, the source-label lookup and the label write.
+        pdf = web_graph(n=120, avg_degree=6, seed=2)
+        st = run_static(spark.createDataFrame(pdf), 1, SEED)
+        ins, dele = edit_batch(pdf, 20, seed=3)
+        (st2, stats), jobs = _apply_counted(spark, st, ins, dele)
+        _, rstats = ref_apply_batch(ref_run_static(pdf, 1, SEED), ins, dele)
+        assert {k: getattr(stats, k) for k in rstats} == rstats
+        assert stats.round_deltas == [stats.n_repicked] and stats.n_repicked > 0
+        assert jobs == 13
+
+    def test_large_ids_bit_identical(self, spark):
+        # Ids near the top of int64, and a new vertex whose rows have no
+        # old rows to keep: every id column stays int64 on the driver.
+        shift = 2**62 + 1
+        pdf = web_graph(n=120, avg_degree=6, seed=2) + shift
+        ins, dele = edit_batch(pdf, 20, seed=3)
+        new_id = int(pdf.to_numpy().max()) + 100
+        ins = pd.concat([ins, _pairs([(new_id, shift), (shift + 1, new_id)])])
+        st = run_static(spark.createDataFrame(pdf), T_ITERS, SEED)
+        st2, stats = apply_batch(
+            st, spark.createDataFrame(ins), spark.createDataFrame(dele)
+        )
+        rst2, rstats = ref_apply_batch(ref_run_static(pdf, T_ITERS, SEED), ins, dele)
+        pd.testing.assert_frame_equal(
+            _sorted_labels(st2.labels),
+            labels_long(rst2.g, rst2.labels)
+            .sort_values(["id", "t"])
+            .reset_index(drop=True)
+            .astype("int64"),
+        )
+        assert _nbrs(st2) == _ref_nbrs(rst2.g)
+        assert {k: getattr(stats, k) for k in rstats} == rstats
+        assert new_id in _nbrs(st2)
