@@ -4,7 +4,8 @@ A frame is written once, coalesced to its partition constant and
 checkpointed eagerly; the counts a caller branches on are ``Observation``
 metrics of that write, so they cost no Spark job of their own. A small frame
 held on the driver reaches Spark as a one-partition local frame
-(``local_frame``), which is never written.
+(``local_frame``), which is never written; ``lookup`` collects the rows of a
+table that such a frame names.
 """
 from __future__ import annotations
 
@@ -12,8 +13,11 @@ from typing import Any, Dict, Tuple
 
 import pandas as pd
 from pyspark.sql import Column, DataFrame, Observation, SparkSession
+from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 N_STATE_PARTS = 16  # state tables are scan-heavy; keep task counts low
+ID_SCHEMA = T.StructType().add("id", T.LongType())
 
 
 def materialize(
@@ -41,10 +45,22 @@ def release(df: DataFrame) -> None:
 
 
 def local_frame(
-    spark: SparkSession, data: pd.DataFrame | Dict[str, Any], schema: str
+    spark: SparkSession, data: pd.DataFrame | Dict[str, Any], schema: T.StructType
 ) -> DataFrame:
     """``data`` (a pandas frame, or its columns) as a one-partition Spark
-    frame of ``schema``, a DDL string matched by position. Its rows live in
-    the plan, so a broadcast of it ships them without a shuffle, and a union
-    with it adds one partition."""
+    frame of ``schema``, matched by position. A ``StructType`` module
+    constant is not parsed again on every call, as a DDL string is. The
+    rows live in the plan, so a broadcast of it ships them without a
+    shuffle, and a union with it adds one partition."""
     return spark.createDataFrame(pd.DataFrame(data), schema).coalesce(1)
+
+
+def lookup(
+    table: DataFrame, keys: pd.DataFrame | Dict[str, Any], schema: T.StructType
+) -> pd.DataFrame:
+    """The rows of ``table`` whose ``schema`` columns equal a row of ``keys``
+    (held on the driver, matched to ``schema`` by position), collected. One
+    broadcast semi-join against their local frame finds them, so only the
+    matching rows move and nothing is shuffled."""
+    frame = local_frame(table.sparkSession, keys, schema)
+    return table.join(F.broadcast(frame), schema.names, "left_semi").toPandas()

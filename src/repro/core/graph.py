@@ -5,10 +5,10 @@ no multi-edges). The one stored form of a graph is the **adjacency table**:
 one row per degree >= 1 vertex with its sorted neighbor array (``id``,
 ``nbrs``), built from raw edges by ``adjacency``. Every Spark path reads
 it; one ``explode`` of ``nbrs`` gives both directions of every edge. An
-edit batch changes it in two steps: ``edit`` turns the batch into the old
-and new neighbor arrays of every vertex whose array it changes, held on the
-driver (one lookup of the batch's endpoints in the adjacency), and
-``apply_edits`` swaps those new rows in.
+edit batch changes it in three steps: ``collect_batch`` brings the batch to
+the driver, ``edit`` turns it into the old and new neighbor arrays of every
+vertex whose array it changes (one lookup of the batch's endpoints in the
+adjacency), and ``apply_edits`` swaps those new rows in.
 
 The sorted neighbor array is load-bearing: Algorithm 1 picks
 ``src_i^t = nbrs_i[h mod deg_i]``, and sortedness makes the pick a pure
@@ -25,7 +25,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import IntegralType
 
-from repro.core.checkpoint import local_frame
+from repro.core.checkpoint import ID_SCHEMA, lookup
 
 
 def check_ids(edges: DataFrame) -> None:
@@ -60,18 +60,10 @@ def adjacency(edges: DataFrame) -> DataFrame:
     )
 
 
-def edit(
-    adjacency: DataFrame, inserts: DataFrame | None, deletes: DataFrame | None
-) -> pd.DataFrame:
-    """The vertices whose neighbor array one batch changes, as a driver-side
-    frame sorted by ``id``: columns ``id`` (int64), ``old_nbrs`` and
-    ``new_nbrs`` (sorted int64 arrays). A None ``old_nbrs`` marks a new
-    vertex, a None ``new_nbrs`` one that drops to degree 0. Edits that change
-    nothing, such as inserting a present edge, leave no row.
-
-    Deletes apply after inserts: an edge both inserted and deleted in one
-    batch ends up absent. One action collects the batch, and one broadcast
-    semi-join against its endpoint ids fetches their adjacency rows."""
+def collect_batch(inserts: DataFrame | None, deletes: DataFrame | None) -> pd.DataFrame:
+    """One edit batch on the driver, collected by one action: columns
+    ``src``, ``dst`` (int64) and ``ins`` (True for an insert), self-loops
+    dropped."""
     parts = [
         e.select(
             F.col("src").cast("long"), F.col("dst").cast("long"), F.lit(i).alias("ins")
@@ -84,17 +76,30 @@ def edit(
         if parts
         else pd.DataFrame({"src": [], "dst": [], "ins": []})
     )
-    batch = batch[batch["src"] != batch["dst"]]
+    batch = batch.astype({"src": np.int64, "dst": np.int64, "ins": bool})
+    return batch[batch["src"] != batch["dst"]]
+
+
+def edit(adjacency: DataFrame, batch: pd.DataFrame) -> pd.DataFrame:
+    """The vertices whose neighbor array ``batch`` (from ``collect_batch``)
+    changes, as a driver-side frame sorted by ``id``: columns ``id`` (int64),
+    ``old_nbrs`` and ``new_nbrs`` (sorted int64 arrays). A None ``old_nbrs``
+    marks a new vertex, a None ``new_nbrs`` one that drops to degree 0.
+    Edits that change nothing, such as inserting a present edge, leave no
+    row.
+
+    Deletes apply after inserts: an edge both inserted and deleted in one
+    batch ends up absent. One lookup of the batch's endpoint ids fetches
+    their adjacency rows."""
     # Each edit at both of its endpoints, grouped by endpoint.
-    ends = np.concatenate([batch["src"], batch["dst"]]).astype(np.int64)
+    ends = np.concatenate([batch["src"], batch["dst"]])
     order = np.argsort(ends, kind="stable")
-    nbrs = np.concatenate([batch["dst"], batch["src"]]).astype(np.int64)[order]
-    ins = np.concatenate([batch["ins"], batch["ins"]]).astype(bool)[order]
+    nbrs = np.concatenate([batch["dst"], batch["src"]])[order]
+    ins = np.concatenate([batch["ins"], batch["ins"]])[order]
     ids, starts = np.unique(ends[order], return_index=True)
     changed = []
     if len(ids):
-        ends_df = local_frame(adjacency.sparkSession, {"id": ids}, "id long")
-        rows = adjacency.join(F.broadcast(ends_df), "id", "left_semi").toPandas()
+        rows = lookup(adjacency, {"id": ids}, ID_SCHEMA)
         old_of = dict(zip(rows["id"].tolist(), rows["nbrs"]))
         none = np.empty(0, dtype=np.int64)
         cut = starts[1:]

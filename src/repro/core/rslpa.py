@@ -37,6 +37,13 @@ class RslpaState:
     seed: int
     epoch: int  # bumps once per batch that changes an edge -> fresh draws
 
+    def release(self) -> None:
+        """Free the state's three tables now; nothing may read them again.
+        ``apply_batch`` never does this for its input, since a caller may
+        branch several streams from one state."""
+        for table in (self.adjacency, self.choices, self.labels):
+            release(table)
+
 
 def run_static(edges: DataFrame, n_iters: int, seed: int) -> RslpaState:
     """Algorithm 1 from scratch on a static graph."""

@@ -6,14 +6,16 @@ Applies the Category 1/2/3 keep rule of ``repro.core.incremental``
 engines share, so the updated choice table and label table are bit-for-bit
 equal to the Spark engine's (tested).
 Labels are recomputed by the sequential recurrence and diffed to measure the
-paper's η (number of labels needing update) — this is the measurement oracle
+paper's η (number of labels needing update), and Correction Propagation's
+wave sizes are replayed on the updated choice matrices
+(``cascade_deltas``) — this is the measurement oracle
 behind the Fig. 9 η table and the complexity-model validation, where running
 the full Spark loop for every (batch size × seed) cell would be wasteful.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pandas as pd
@@ -43,6 +45,26 @@ def apply_edits_pdf(
     return pd.DataFrame({"src": arr[:, 0], "dst": arr[:, 1]})
 
 
+def cascade_deltas(
+    g: RefGraph, src: np.ndarray, pos: np.ndarray, repicked: np.ndarray
+) -> List[int]:
+    """The size of each Correction Propagation wave on the updated ``(n, T)``
+    choice matrices: wave 0 is the ``repicked`` rows, and each next wave is
+    the rows whose ``(src, pos)`` is a row of the last wave with ``t < T``."""
+    n, T = src.shape
+    src_row = np.searchsorted(g.ids, src)
+    deltas = []
+    wave = repicked
+    while wave.any():
+        deltas.append(int(wave.sum()))
+        # sends[v, t]: row (v, t) sends; column j of a wave is t = j + 1,
+        # and rows at t = T have no receivers.
+        sends = np.zeros((n, T + 1), dtype=bool)
+        sends[:, 1:T] = wave[:, : T - 1]
+        wave = sends[src_row, pos]
+    return deltas
+
+
 @dataclass
 class RefState:
     """Reference-engine mirror of ``repro.core.rslpa.RslpaState``."""
@@ -70,8 +92,9 @@ def ref_apply_batch(
     state: RefState,
     inserts: pd.DataFrame | None,
     deletes: pd.DataFrame | None,
-) -> Tuple[RefState, Dict[str, int]]:
-    """One incremental batch; returns (new state, η statistics)."""
+) -> Tuple[RefState, Dict[str, int | List[int]]]:
+    """One incremental batch; returns (new state, its ``UpdateStats`` counts
+    by name, η and the wave sizes included)."""
     T, seed = state.n_iters, state.seed
     epoch = state.epoch + 1
     new_edges = apply_edits_pdf(state.edges, inserts, deletes)
@@ -81,11 +104,12 @@ def ref_apply_batch(
     added = new_set - old_set
     if not (removed or added):
         # Like the Spark engine: the state, its epoch included, is unchanged.
-        return state, dict.fromkeys(
+        stats = dict.fromkeys(
             ("m_inserted", "m_deleted", "n_affected_vertices", "n_repicked",
              "n_value_changed", "eta"),
             0,
         )
+        return state, {**stats, "round_deltas": []}
     affected = np.fromiter(
         {v for e in removed | added for v in e}, dtype=np.int64
     )
@@ -130,6 +154,7 @@ def ref_apply_batch(
         "n_repicked": int(repicked.sum()),
         "n_value_changed": int(value_changed.sum()),
         "eta": eta,
+        "round_deltas": cascade_deltas(g_new, src_new, pos_new, repicked),
     }
     new_state = RefState(
         new_edges, g_new, src_new, pos_new, labels_new, T, seed, epoch

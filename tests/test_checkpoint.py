@@ -1,13 +1,21 @@
 """Tests for the materialization policy (repro.core.checkpoint): observed
 counts cost no Spark job, ``release`` frees a local checkpoint through the
-py4j path it relies on, and the rSLPA entry points leave only the tables
-they return in the block manager."""
+py4j path it relies on, the rSLPA entry points leave only the tables they
+return in the block manager, and a chain that releases each superseded state
+holds only the live one."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.checkpoint import materialize, release
 from repro.core.incremental import apply_batch
 from repro.core.rslpa import detect_communities, run_static
+from repro.reference.incremental_ref import (
+    apply_edits_pdf,
+    ref_apply_batch,
+    ref_run_static,
+)
+from repro.reference.rslpa_ref import labels_long
 from repro.webgraph.generator import edit_batch, web_graph
 
 
@@ -92,3 +100,53 @@ def test_apply_batch_stores_only_its_tables(spark, edges):
     stored = _stored(spark)
     assert stored - before == new
     assert old <= stored  # the input state is never released
+
+
+def _parts(spark, st):
+    """The adjacency and choice tables' partition counts; reading them runs
+    no Spark job."""
+    out = []
+    tables = (st.adjacency, st.choices)
+    read = lambda: out.extend(t.rdd.getNumPartitions() for t in tables)
+    assert _jobs(spark, "ckpt.parts", read) == 0
+    return out
+
+
+def test_chain_releasing_superseded_states(spark, edges):
+    # Each superseded state is released right after the call that replaced
+    # it, with no forced GC: storage then holds only the live state, so no
+    # step of a batch reads its input after the call returns. A batch that
+    # changes nothing returns its input, which must then stay. The state
+    # tables keep the base state's partition counts, and reading them runs
+    # no Spark job.
+    pdf = edges.toPandas()
+    st = run_static(edges, 5, 3)
+    ref = ref_run_static(pdf, 5, 3)
+    before = _stored(spark) - {_rdd_id(t) for t in (st.adjacency, st.choices, st.labels)}
+    parts = _parts(spark, st)
+    cur = ref.edges
+    batches = []
+    for seed in range(7):
+        # Batch 3 inserts a present edge.
+        batch = (cur.iloc[:1], None) if seed == 3 else edit_batch(cur, 16, seed=seed)
+        batches.append(batch)
+        cur = apply_edits_pdf(cur, *batch)
+    kept = 0
+    for ins, dele in batches:
+        frames = [None if e is None else spark.createDataFrame(e) for e in (ins, dele)]
+        new, _ = apply_batch(st, *frames)
+        if new is st:
+            kept += 1
+        else:
+            st.release()
+        st = new
+        ref, _ = ref_apply_batch(ref, ins, dele)
+        live = {_rdd_id(t) for t in (st.adjacency, st.choices, st.labels)}
+        assert _stored(spark) - before == live
+        got = st.labels.toPandas().sort_values(["id", "t"]).reset_index(drop=True)
+        want = labels_long(ref.g, ref.labels).sort_values(["id", "t"])
+        pd.testing.assert_frame_equal(
+            got.astype("int64"), want.reset_index(drop=True).astype("int64")
+        )
+        assert _parts(spark, st) == parts
+    assert kept == 1

@@ -76,7 +76,7 @@ def _edit(spark, adj, inserts, deletes):
         None if p is None else spark.createDataFrame(p, "src long, dst long")
         for p in (inserts, deletes)
     )
-    out = G.edit(adj, *frames)
+    out = G.edit(adj, G.collect_batch(*frames))
     assert out["id"].dtype == "int64" and out["id"].is_monotonic_increasing
     return {
         (int(i), *(None if a is None else tuple(a.tolist()) for a in arrays))

@@ -2,12 +2,14 @@
 bit-equality against the reference incremental engine, and the
 incremental-equals-scratch invariant on the Spark dataflow itself."""
 import itertools
+import threading
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.incremental import apply_batch
+from repro.core import incremental
+from repro.core.incremental import apply_batch, overlay_labels
 from repro.core.resolve import resolve_labels
 from repro.core.rslpa import run_static
 from repro.reference.incremental_ref import (
@@ -147,6 +149,7 @@ class TestApplyBatch:
                     obj=name,
                 )
                 assert _nbrs(st2) == _ref_nbrs(rst2.g), name
+                # ``round_deltas`` included: the reference replays the waves.
                 got = {k: getattr(stats, k) for k in rstats}
                 assert got == rstats, name
                 assert st2.epoch == rst2.epoch, name
@@ -276,3 +279,48 @@ class TestApplyBatchPlan:
         assert _nbrs(st2) == _ref_nbrs(rst2.g)
         assert {k: getattr(stats, k) for k in rstats} == rstats
         assert new_id in _nbrs(st2)
+
+
+def _settled(spark):
+    """The Python threads alive and the Spark jobs active, once the listener
+    bus has delivered every event that the status tracker reads."""
+    sc = spark.sparkContext
+    assert sc._jsc.sc().listenerBus().waitUntilEmpty(10_000) is None
+    return threading.active_count(), list(sc.statusTracker().getActiveJobsIds())
+
+
+class TestApplyBatchConcurrency:
+    """``apply_batch`` runs some steps on threads of its own; none outlives
+    the call, and an error in any of them surfaces from it."""
+
+    def test_nothing_outlives_the_call(self, spark, base):
+        st, pdf = base
+        before = _settled(spark)
+        ins, dele = _fixed_batch(pdf)
+        apply_batch(st, spark.createDataFrame(ins), spark.createDataFrame(dele))
+        assert _settled(spark) == before
+
+    def test_background_error_surfaces(self, spark, base, monkeypatch):
+        st, pdf = base
+
+        def broken(*args):
+            raise RuntimeError("choice write failed")
+
+        monkeypatch.setattr(incremental, "_swap_choices", broken)
+        ins, dele = _fixed_batch(pdf)
+        before = _settled(spark)
+        with pytest.raises(RuntimeError, match="choice write failed"):
+            apply_batch(st, spark.createDataFrame(ins), spark.createDataFrame(dele))
+        assert _settled(spark) == before
+
+
+def test_overlay_labels_follow_overlaid_sources():
+    # (1, 1) reads the pre-update label of (9, 0); (2, 2) and (3, 3) read
+    # overlaid sources, listed after them; (4, 2) reads (3, 1), which is
+    # not overlaid.
+    rows = pd.DataFrame(
+        [(3, 3, 2, 2), (2, 2, 1, 1), (1, 1, 9, 0), (4, 2, 3, 1)],
+        columns=["id", "t", "src", "pos"],
+    )
+    sources = pd.DataFrame([(9, 0, 9), (3, 1, 7)], columns=["src", "pos", "label"])
+    assert overlay_labels(rows, sources).tolist() == [9, 9, 9, 7]
