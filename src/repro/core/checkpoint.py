@@ -4,20 +4,21 @@ A frame is written once, coalesced to its partition constant and
 checkpointed eagerly; the counts a caller branches on are ``Observation``
 metrics of that write, so they cost no Spark job of their own. A small frame
 held on the driver reaches Spark as a one-partition local frame
-(``local_frame``), which is never written; ``lookup`` collects the rows of a
-table that such a frame names.
+(``local_frame``), which is never written and is typed by the table it
+meets: ``lookup`` collects the table rows it names, and ``swap`` replaces
+the rows of a set of vertices with it.
 """
 from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 N_STATE_PARTS = 16  # state tables are scan-heavy; keep task counts low
-ID_SCHEMA = T.StructType().add("id", T.LongType())
 
 
 def materialize(
@@ -45,22 +46,42 @@ def release(df: DataFrame) -> None:
 
 
 def local_frame(
-    spark: SparkSession, data: pd.DataFrame | Dict[str, Any], schema: T.StructType
+    spark: SparkSession, data: pd.DataFrame | Dict[str, Any], schema: T.StructType | str
 ) -> DataFrame:
     """``data`` (a pandas frame, or its columns) as a one-partition Spark
-    frame of ``schema``, matched by position. A ``StructType`` module
-    constant is not parsed again on every call, as a DDL string is. The
-    rows live in the plan, so a broadcast of it ships them without a
-    shuffle, and a union with it adds one partition."""
+    frame of ``schema``, matched by position. A pandas frame (Arrow) becomes
+    a local relation, where a list would become a Python RDD, and
+    ``createDataFrame`` alone would slice it into ``defaultParallelism``
+    tasks. A broadcast of it ships its rows without a shuffle, and a union
+    with it adds one partition."""
     return spark.createDataFrame(pd.DataFrame(data), schema).coalesce(1)
 
 
-def lookup(
-    table: DataFrame, keys: pd.DataFrame | Dict[str, Any], schema: T.StructType
-) -> pd.DataFrame:
-    """The rows of ``table`` whose ``schema`` columns equal a row of ``keys``
-    (held on the driver, matched to ``schema`` by position), collected. One
-    broadcast semi-join against their local frame finds them, so only the
-    matching rows move and nothing is shuffled."""
-    frame = local_frame(table.sparkSession, keys, schema)
-    return table.join(F.broadcast(frame), schema.names, "left_semi").toPandas()
+def _keys(table: DataFrame, keys: pd.DataFrame) -> DataFrame:
+    """The broadcast local frame of ``keys``, each column typed as ``table``'s
+    column of its name (``DataFrame.schema`` is cached per frame)."""
+    schema = T.StructType([table.schema[c] for c in keys.columns])
+    return F.broadcast(local_frame(table.sparkSession, keys, schema))
+
+
+def lookup(table: DataFrame, keys: pd.DataFrame | Dict[str, Any]) -> pd.DataFrame:
+    """The rows of ``table`` that equal a row of ``keys`` (held on the driver)
+    in the columns ``keys`` names, collected: one broadcast semi-join, so
+    only the matching rows move and nothing is shuffled."""
+    keys = pd.DataFrame(keys)
+    return table.join(_keys(table, keys), list(keys), "left_semi").toPandas()
+
+
+def swap(
+    table: DataFrame, ids: np.ndarray, rows: pd.DataFrame | Dict[str, Any]
+) -> DataFrame:
+    """``table`` without the rows of the vertices ``ids``, plus ``rows`` (held
+    on the driver, in ``table``'s column order): one broadcast anti-join and
+    one union, each left out when it has no row, since every broadcast of a
+    local frame costs a Spark job."""
+    if len(ids):
+        table = table.join(_keys(table, pd.DataFrame({"id": ids})), "id", "left_anti")
+    rows = pd.DataFrame(rows)
+    if len(rows):
+        table = table.unionByName(local_frame(table.sparkSession, rows, table.schema))
+    return table

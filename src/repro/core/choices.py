@@ -22,7 +22,6 @@ from typing import Iterator, Tuple
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core import rand
@@ -107,12 +106,3 @@ def draw_choices(
 
     return adjacency.mapInPandas(gen, schema=CHOICE_SCHEMA)
 
-
-def base_rows(adjacency: DataFrame) -> DataFrame:
-    """The ``t = 0`` pointer rows ``(id, 0, id, 0)`` — each chain's anchor."""
-    return adjacency.select(
-        F.col("id"),
-        F.lit(0).cast("int").alias("t"),
-        F.col("id").alias("src"),
-        F.lit(0).cast("int").alias("pos"),
-    )

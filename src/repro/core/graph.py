@@ -8,7 +8,8 @@ it; one ``explode`` of ``nbrs`` gives both directions of every edge. An
 edit batch changes it in three steps: ``collect_batch`` brings the batch to
 the driver, ``edit`` turns it into the old and new neighbor arrays of every
 vertex whose array it changes (one lookup of the batch's endpoints in the
-adjacency), and ``apply_edits`` swaps those new rows in.
+adjacency), and ``apply_edits`` swaps ``edit``'s new rows, held on the
+driver, into the table (``repro.core.checkpoint.swap``).
 
 The sorted neighbor array is load-bearing: Algorithm 1 picks
 ``src_i^t = nbrs_i[h mod deg_i]``, and sortedness makes the pick a pure
@@ -25,7 +26,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import IntegralType
 
-from repro.core.checkpoint import ID_SCHEMA, lookup
+from repro.core.checkpoint import lookup, swap
 
 
 def check_ids(edges: DataFrame) -> None:
@@ -99,7 +100,7 @@ def edit(adjacency: DataFrame, batch: pd.DataFrame) -> pd.DataFrame:
     ids, starts = np.unique(ends[order], return_index=True)
     changed = []
     if len(ids):
-        rows = lookup(adjacency, {"id": ids}, ID_SCHEMA)
+        rows = lookup(adjacency, {"id": ids})
         old_of = dict(zip(rows["id"].tolist(), rows["nbrs"]))
         none = np.empty(0, dtype=np.int64)
         cut = starts[1:]
@@ -113,13 +114,8 @@ def edit(adjacency: DataFrame, batch: pd.DataFrame) -> pd.DataFrame:
     return out.astype({"id": np.int64})
 
 
-def apply_edits(adjacency: DataFrame, changed: DataFrame) -> DataFrame:
-    """The adjacency table with the rows of ``changed`` (columns ``id``,
-    ``new_nbrs``, sorted) swapped in; a null ``new_nbrs`` drops the vertex."""
-    return adjacency.join(
-        F.broadcast(changed.select("id")), "id", "left_anti"
-    ).unionByName(
-        changed.where(F.col("new_nbrs").isNotNull()).select(
-            "id", F.col("new_nbrs").alias("nbrs")
-        )
-    )
+def apply_edits(adjacency: DataFrame, changed: pd.DataFrame) -> DataFrame:
+    """The adjacency table with the rows of ``changed`` (``edit``'s frame)
+    swapped in; a None ``new_nbrs`` drops the vertex."""
+    live = changed.loc[changed["new_nbrs"].notna(), ["id", "new_nbrs"]]
+    return swap(adjacency, changed["id"].to_numpy(), live)

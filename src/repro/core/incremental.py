@@ -10,10 +10,10 @@ needs the big tables: the lookups of the rows these frames name (the batch
 endpoints' old choice rows, the re-picked rows' source labels, each round's
 receivers) and the three writes of the new state, each a checkpoint
 (``repro.core.checkpoint``): the adjacency and choice tables with the
-affected vertices' rows swapped in, and the label table with every
-overlaid row's new label applied. So a state is plain checkpoints however
-many batches it has seen. The batch's counts are read off the driver's
-frames; ``n_value_changed`` and η are observed on the label write.
+affected vertices' rows swapped in (``checkpoint.swap``), and the label
+table with every overlaid row's new label applied. So a state is plain
+checkpoints however many batches it has seen. The batch's counts are read
+off the driver's frames, and ``n_value_changed`` and η off the label write.
 
 Only four kinds of step wait for one another: the batch collect, the
 endpoint lookups, the receiver lookups and the label write. The old choice
@@ -22,8 +22,8 @@ write, the choice write and the source-label lookup run on background
 threads while the cascade runs; the call returns once all of them have.
 
 Dataflow note: a per-batch frame reaches Spark as a one-partition local
-frame (``checkpoint.local_frame``) that the lookup or write broadcasts
-(``F.broadcast``), and each lookup's result is collected. Both are
+frame typed by the table it meets (``checkpoint.local_frame``), which the
+lookup or write broadcasts, and each lookup's result is collected. Both are
 O(affected rows + messages), which is the DataFrame equivalent of the
 paper's point that Correction Propagation sends *small messages to
 receivers* rather than reshuffling global state: a batch runs no shuffle,
@@ -75,9 +75,10 @@ trees, which is O(log T) in expectation.
 
 The waves carry no labels. Once the cascade stops, the driver gives every
 overlaid row its source's new label (``overlay_labels``): the overlaid
-source's, or else the source's pre-update label, which only round-0 rows
-need and one lookup fetches. Every row whose value can change is
-overlaid, since its ``(src, pos)`` changed or its source was overlaid.
+source's, by resolve's chain kernel, or else the source's pre-update
+label, which only round-0 rows need and one lookup fetches. Every row
+whose value can change is overlaid, since its ``(src, pos)`` changed or
+its source was overlaid.
 
 The final label table provably equals a from-scratch resolution of the
 updated choice table — the paper's "same communities as from scratch" claim,
@@ -98,27 +99,23 @@ from pyspark.util import inheritable_thread_target
 
 from repro.core import graph as G
 from repro.core.checkpoint import (
-    ID_SCHEMA,
     N_STATE_PARTS,
     local_frame,
     lookup,
     materialize,
+    swap,
 )
-from repro.core.choices import CHOICE_SCHEMA, csr, draw_choices_arrays
+from repro.core.choices import csr, draw_choices_arrays
+from repro.core.resolve import chain_ends
 from repro.core.rslpa import RslpaState
 
 # (flat, offsets): row r is flat[offsets[r]:offsets[r+1]]
 Csr = Tuple[np.ndarray, np.ndarray]
 
-LONG, INT = T.LongType(), T.IntegerType()
-KEY_SCHEMA = T.StructType().add("id", LONG).add("t", INT)
-SOURCE_SCHEMA = T.StructType().add("src", LONG).add("pos", INT)
-LABEL_SCHEMA = T.StructType().add("id", LONG).add("t", INT).add("label", LONG)
 OVERLAY_SCHEMA = (
-    T.StructType().add("id", LONG).add("t", INT).add("new_label", LONG)
-    .add("repicked", T.BooleanType())
+    T.StructType().add("id", T.LongType()).add("t", T.IntegerType())
+    .add("new_label", T.LongType()).add("repicked", T.BooleanType())
 )
-CHANGED_SCHEMA = T.StructType().add("id", LONG).add("new_nbrs", T.ArrayType(LONG))
 
 
 @dataclass
@@ -175,26 +172,12 @@ def overlay_labels(rows: pd.DataFrame, sources: pd.DataFrame) -> np.ndarray:
     distinct ``(id, t)``): its source's new label where the source is an
     overlaid row too, else the source's pre-update label from ``sources``
     (``src, pos, label``). A source's t is below its row's, so each row's
-    chain of overlaid sources ends at a row whose source is not overlaid;
-    pointer doubling follows every chain at once, in O(log depth) passes."""
-    src_keys = pd.MultiIndex.from_frame(rows[["src", "pos"]])
-    up = pd.MultiIndex.from_frame(rows[["id", "t"]]).get_indexer(src_keys)
-    root = np.where(up < 0, np.arange(len(rows)), up)
-    while not np.array_equal(root[root], root):
-        root = root[root]
-    at = pd.MultiIndex.from_frame(sources[["src", "pos"]]).get_indexer(src_keys[root])
+    chain of overlaid sources (``resolve.chain_ends``) ends at a row whose
+    source is not overlaid, and that source's label is the row's."""
+    end = chain_ends(*(rows[c].to_numpy() for c in ("id", "t", "src", "pos")))
+    ends = pd.MultiIndex.from_frame(rows[["src", "pos"]].iloc[end])
+    at = pd.MultiIndex.from_frame(sources[["src", "pos"]]).get_indexer(ends)
     return sources["label"].to_numpy()[at]
-
-
-def _swap_choices(choices: DataFrame, ids: np.ndarray, dec: pd.DataFrame) -> DataFrame:
-    """The choice table with the rows of the vertices ``ids`` swapped for the
-    decisions ``dec``, written in as many partitions as ``choices``."""
-    spark = choices.sparkSession
-    gone = F.broadcast(local_frame(spark, {"id": ids}, ID_SCHEMA))
-    swapped = choices.join(gone, "id", "left_anti").unionByName(
-        local_frame(spark, dec, CHOICE_SCHEMA)
-    )
-    return materialize(swapped, choices.rdd.getNumPartitions())[0]
 
 
 def apply_batch(
@@ -230,7 +213,7 @@ def apply_batch(
         # adjacency rows. The affected vertices, sorted by id, are those
         # endpoints whose neighbor array changes; each added or removed edge
         # appears at both of its endpoints.
-        old_rows = background(lookup, state.choices, {"id": ends}, ID_SCHEMA)
+        old_rows = background(lookup, state.choices, {"id": ends})
         vert = G.edit(state.adjacency, batch)
         if vert.empty:
             old_rows.result()
@@ -240,14 +223,11 @@ def apply_batch(
         new_deg, old_deg = np.diff(new_nbrs[1]), np.diff(old_nbrs[1])
         n_kept = in_rows(new_nbrs[0], np.repeat(np.arange(len(ids)), new_deg), old_nbrs)
         m_a, m_d = (int(len(n[0]) - n_kept.sum()) // 2 for n in (new_nbrs, old_nbrs))
-        # ``apply_edits`` only plans, and stays on this thread with the other
-        # calls through the module.
-        changed = local_frame(spark, vert[["id", "new_nbrs"]], CHANGED_SCHEMA)
-        new_adj = background(
-            materialize,
-            G.apply_edits(state.adjacency, changed),
-            state.adjacency.rdd.getNumPartitions(),
-        )
+        # Each write keeps its input table's partition count. The plans are
+        # built on this thread, so ``apply_edits`` stays with the other calls
+        # through the module.
+        n_adj = state.adjacency.rdd.getNumPartitions()
+        new_adj = background(materialize, G.apply_edits(state.adjacency, vert), n_adj)
 
         # --- Phase 1: re-pick affected rows -------------------------------
         # The candidates are Algorithm 1's draw on the new graph at this
@@ -276,7 +256,8 @@ def apply_batch(
                 "pos": np.where(keep, old_pos, cpos),
             }
         )
-        new_choices = background(_swap_choices, state.choices, ids, dec)
+        n_choices = state.choices.rdd.getNumPartitions()
+        new_choices = background(materialize, swap(state.choices, ids, dec), n_choices)
 
         # --- Phase 2: Correction Propagation ------------------------------
         # The re-picked rows' sources in the pre-update labels, for the
@@ -288,7 +269,8 @@ def apply_batch(
         from_new = np.isin(wanted["src"].to_numpy(), new_ids)
         old_labels = None
         if not from_new.all():
-            old_labels = background(lookup, state.labels, wanted[~from_new], KEY_SCHEMA)
+            keys = wanted[~from_new].set_axis(["id", "t"], axis=1)
+            old_labels = background(lookup, state.labels, keys)
         # Each wave is the receivers of the last one's senders; a receiver's
         # t exceeds its source's pos, so rows at t = T have no receivers and
         # need no lookup.
@@ -299,8 +281,9 @@ def apply_batch(
             senders = waves[-1].loc[waves[-1]["t"] < n_iters, ["id", "t"]]
             if senders.empty:
                 break
-            got = lookup(state.choices, senders, SOURCE_SCHEMA).astype(np.int64)
-            mine = dec.merge(senders.set_axis(["src", "pos"], axis=1))
+            senders = senders.set_axis(["src", "pos"], axis=1)
+            got = lookup(state.choices, senders).astype(np.int64)
+            mine = dec.merge(senders)
             waves.append(pd.concat([got[~np.isin(got["id"], ids)], mine]))
         round_deltas = [len(w) for w in waves if len(w)]
 
@@ -323,20 +306,12 @@ def apply_batch(
         )
         # The pre-update labels: the old ones minus dropped vertices, plus
         # the anchor rows ``(id, t, id)`` of new vertices.
-        labels_init = state.labels
-        dropped = ids[new_deg == 0]
-        if len(dropped):
-            gone = local_frame(spark, {"id": dropped}, ID_SCHEMA)
-            labels_init = labels_init.join(F.broadcast(gone), "id", "left_anti")
-        if len(new_ids):
-            anchors = {
-                "id": np.repeat(new_ids, n_iters + 1),
-                "t": np.tile(np.arange(n_iters + 1), len(new_ids)),
-                "label": np.repeat(new_ids, n_iters + 1),
-            }
-            labels_init = labels_init.unionByName(
-                local_frame(spark, anchors, LABEL_SCHEMA)
-            )
+        anchors = {
+            "id": np.repeat(new_ids, n_iters + 1),
+            "t": np.tile(np.arange(n_iters + 1), len(new_ids)),
+            "label": np.repeat(new_ids, n_iters + 1),
+        }
+        labels_init = swap(state.labels, ids[new_deg == 0], anchors)
         value_changed = F.col("new_label") != F.col("label")
         labels, seen = materialize(
             labels_init.join(
@@ -354,7 +329,7 @@ def apply_batch(
         new_state = replace(
             state,
             adjacency=new_adj.result()[0],
-            choices=new_choices.result(),
+            choices=new_choices.result()[0],
             labels=labels,
             epoch=epoch,
         )

@@ -46,7 +46,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.cc.reference import max_spanning_forest, sweep_components
-from repro.core.checkpoint import N_STATE_PARTS, materialize, release
+from repro.core.checkpoint import N_STATE_PARTS, local_frame, materialize, release
 from repro.metrics.entropy import size_entropy
 
 
@@ -240,17 +240,12 @@ def postprocess(
     communities and thresholds."""
     weights, distinct_w = write_weights(edge_weights(adjacency, labels))
     th = thresholds(*connected_components(weights), distinct_w, n_candidates)
-    # A pandas frame (Arrow) becomes a local relation that the JVM scans; a
-    # list would become a Python RDD. One partition: ``createDataFrame``
-    # would slice the rows into ``defaultParallelism`` tasks.
-    strong = weights.sparkSession.createDataFrame(
-        pd.DataFrame(
-            [(comp, v) for comp, vs in th.strong.items() for v in vs],
-            columns=["comp", "id"],
-            dtype="int64",
-        ),
+    members = [(comp, v) for comp, vs in th.strong.items() for v in vs]
+    strong = local_frame(
+        weights.sparkSession,
+        pd.DataFrame(members, columns=["comp", "id"], dtype="int64"),
         "comp long, id long",
-    ).coalesce(1)
+    )
     communities, _ = materialize(
         extract_communities(weights, strong, th.tau2_int), N_STATE_PARTS
     )

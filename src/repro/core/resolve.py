@@ -14,12 +14,12 @@ form of the paper's T-round message loop (expected chain depth is only
 ``O(log t)`` because ``pos`` is uniform, so the loop usually exits early).
 
 Before those global rounds, one **local pass** does the same doubling inside
-each partition of the choice table: every row looks up its ``(cid, ct)``
-among the partition's rows once, and integer pointer doubling over those row
-indices follows each chain until it leaves the partition or reaches an
-anchor. Its result is the up-front checkpoint, and its observed ``pending``
-count (rows not yet pointing at an anchor) decides whether any global round
-runs at all: none does when each chain stays in one partition.
+each partition (``chain_ends``, which the incremental overlay also runs) and
+emits each vertex's anchor ``(j, 0) → (j, 0)`` where its one ``t = 1`` row
+is, so exactly once under any partitioning. Its result is the up-front
+checkpoint; its observed ``pending`` count (rows not yet at an anchor)
+decides whether any global round runs: none does when no chain leaves its
+partition.
 
 Every ``(cid, ct)`` key is guaranteed to exist as a state row: ``src`` is a
 neighbor (degree ≥ 1, so it has rows for all t), ``pos < t ≤ T``, and anchors
@@ -34,52 +34,52 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core import choices as C
 from repro.core.checkpoint import N_STATE_PARTS, materialize, release
 
 MAX_ROUNDS = 64  # far above log2 of any feasible T
 POINTER_SCHEMA = "id long, t int, cid long, ct int"
 
 
+def chain_ends(
+    ids: np.ndarray, ts: np.ndarray, srcs: np.ndarray, poss: np.ndarray
+) -> np.ndarray:
+    """For each row, the index of the last row of its chain among these rows
+    (distinct ``(id, t)``): a row links to the row whose ``(id, t)`` is its
+    ``(src, pos)``. Numbered ids give one exact int64 key per row for any id;
+    a hash index of the keys finds the links, and pointer doubling follows
+    them all in O(log depth) passes."""
+    n = len(ids)
+    vertex, _ = pd.factorize(np.concatenate([ids, srcs]))
+    width = int(max(ts.max(initial=0), poss.max(initial=0))) + 1
+    key = vertex * width + np.concatenate([ts, poss])
+    nxt = pd.Index(key[:n]).get_indexer(key[n:])
+    nxt = np.where(nxt < 0, np.arange(n), nxt)
+    while not np.array_equal(nxt[nxt], nxt):
+        nxt = nxt[nxt]
+    return nxt
+
+
 def _local_doubling(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-    """Chase every pointer of the partition as far as the partition's own
-    rows reach: row ``i`` ends pointing where the last row of its chain
-    inside the partition points."""
+    """Chase every pointer as far as the partition's own rows reach, and
+    emit the anchor ``(j, 0, j, 0)`` of each ``t = 1`` row's vertex."""
     frames = [pdf for pdf in batches if len(pdf)]
     if not frames:
         return
     pdf = pd.concat(frames, ignore_index=True)
-    ids, vertices = pd.factorize(pdf["id"])
-    width = int(pdf["t"].max()) + 1
-    row_of = np.full(len(vertices) * width, -1, dtype=np.int64)
-    row_of[ids * width + pdf["t"].to_numpy()] = np.arange(len(pdf))
-    cids = vertices.get_indexer(pdf["cid"])
-    ct = pdf["ct"].to_numpy()
-    local = cids >= 0
-    nxt = np.arange(len(pdf))
-    nxt[local] = row_of[cids[local] * width + ct[local]]
-    nxt[nxt < 0] = np.flatnonzero(nxt < 0)  # target outside the partition
-    while True:  # pointer doubling over row indices
-        jumped = nxt[nxt]
-        if np.array_equal(jumped, nxt):
-            break
-        nxt = jumped
-    yield pdf.assign(cid=pdf["cid"].to_numpy()[nxt], ct=ct[nxt])
+    end = chain_ends(*(pdf[c].to_numpy() for c in ("id", "t", "cid", "ct")))
+    yield pdf.assign(cid=pdf["cid"].to_numpy()[end], ct=pdf["ct"].to_numpy()[end])
+    first = pdf.loc[pdf["t"] == 1, "id"]
+    yield pd.DataFrame({"id": first, "t": 0, "cid": first, "ct": 0})
 
 
-def resolve_labels(adjacency: DataFrame, choice_table: DataFrame) -> DataFrame:
-    """Resolve the full label table ``(id, t, label)`` for ``t ∈ [0..T]``.
-
-    ``adjacency`` supplies the anchors (degree ≥ 1 vertices);
-    ``choice_table`` is the output of ``repro.core.choices.draw_choices``
-    (or its incrementally-maintained successor).
-    """
-    pointers = ("id", "t", F.col("src").alias("cid"), F.col("pos").alias("ct"))
+def resolve_labels(choice_table: DataFrame) -> DataFrame:
+    """The full label table ``(id, t, label)``, ``t ∈ [0..T]``, of the output
+    of ``repro.core.choices.draw_choices`` (or its incremental successor)."""
     pending = F.count_if(F.col("ct") > 0)
     state, seen = materialize(
-        choice_table.select(*pointers)
-        .mapInPandas(_local_doubling, POINTER_SCHEMA)
-        .unionByName(C.base_rows(adjacency).select(*pointers)),
+        choice_table.select(
+            "id", "t", F.col("src").alias("cid"), F.col("pos").alias("ct")
+        ).mapInPandas(_local_doubling, POINTER_SCHEMA),
         N_STATE_PARTS,
         pending=pending,
     )

@@ -46,11 +46,13 @@ class RslpaState:
 
 
 def run_static(edges: DataFrame, n_iters: int, seed: int) -> RslpaState:
-    """Algorithm 1 from scratch on a static graph."""
+    """Algorithm 1 from scratch on a static graph, for ``n_iters ≥ 1``."""
+    if n_iters < 1:
+        raise ValueError(f"n_iters must be at least 1, got {n_iters}")
     G.check_ids(edges)
     adj, _ = materialize(G.adjacency(edges), N_STATE_PARTS)
     choices, _ = materialize(draw_choices(adj, n_iters, seed, 0), N_STATE_PARTS)
-    resolved = resolve_labels(adj, choices)
+    resolved = resolve_labels(choices)
     labels, _ = materialize(resolved, N_STATE_PARTS)
     release(resolved)  # the last pointer-doubling round
     return RslpaState(

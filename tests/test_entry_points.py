@@ -1,5 +1,5 @@
-"""The entry points reject non-integer vertex ids from the schema, before
-any Spark job runs."""
+"""The entry points reject non-integer vertex ids from the schema, and
+``run_static`` a non-positive iteration count, before any Spark job runs."""
 import pandas as pd
 import pytest
 
@@ -35,3 +35,16 @@ def test_missing_column_is_rejected(spark):
     edges = spark.createDataFrame(pd.DataFrame({"src": [1], "to": [2]}))
     with pytest.raises(TypeError, match="'dst' must hold integer vertex ids, got missing"):
         run_static(edges, 3, 0)
+
+
+@pytest.mark.parametrize("n_iters", [0, -1])
+def test_run_static_rejects_no_iterations(spark, n_iters):
+    edges = spark.createDataFrame(pd.DataFrame({"src": [1, 2], "dst": [2, 3]}))
+    sc = spark.sparkContext
+    sc.setJobGroup("no-iterations", "no-iterations")
+    try:
+        with pytest.raises(ValueError, match="n_iters must be at least 1"):
+            run_static(edges, n_iters, 0)
+    finally:
+        sc.setJobGroup("", "")
+    assert list(sc.statusTracker().getJobIdsForGroup("no-iterations")) == []

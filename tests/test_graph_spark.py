@@ -1,5 +1,6 @@
 """Tests for the DataFrame graph substrate (repro.core.graph), with DuckDB
 oracle checks for every relational operation."""
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -115,10 +116,14 @@ class TestApplyEdits:
         assert _edit(spark, adj, [(1, 7)], [(7, 1)]) == set()
 
     def test_apply_drops_and_adds_vertex(self, spark, adj):
-        # Delete {1,2} (vertex 1 drops to degree 0), insert {6,7} (new 7).
-        changed = spark.createDataFrame(
-            [(1, None), (2, [3]), (6, [5, 7]), (7, [6])],
-            "id long, new_nbrs array<long>",
+        # Delete {1,2} (vertex 1 drops to degree 0), insert {6,7} (new 7),
+        # as ``edit``'s driver-side frame.
+        changed = pd.DataFrame(
+            {
+                "id": np.array([1, 2, 6, 7], dtype=np.int64),
+                "old_nbrs": [np.array([2]), np.array([1, 3]), np.array([5]), None],
+                "new_nbrs": [None, np.array([3]), np.array([5, 7]), np.array([6])],
+            }
         )
         new = G.apply_edits(adj, changed).collect()
         got = {r["id"]: list(r["nbrs"]) for r in new}

@@ -165,7 +165,7 @@ class TestApplyBatch:
         st2, _ = apply_batch(
             st, spark.createDataFrame(ins), spark.createDataFrame(dele)
         )
-        scratch = resolve_labels(st2.adjacency, st2.choices)
+        scratch = resolve_labels(st2.choices)
         pd.testing.assert_frame_equal(
             _sorted_labels(st2.labels), _sorted_labels(scratch)
         )
@@ -189,7 +189,7 @@ class TestApplyBatch:
         ins, _ = edit_batch(pdf, 20, seed=7)
         st2, stats = apply_batch(st, spark.createDataFrame(ins), None)
         assert stats.m_inserted == 10 and stats.m_deleted == 0
-        scratch = resolve_labels(st2.adjacency, st2.choices)
+        scratch = resolve_labels(st2.choices)
         pd.testing.assert_frame_equal(
             _sorted_labels(st2.labels), _sorted_labels(scratch)
         )
@@ -199,7 +199,7 @@ class TestApplyBatch:
         _, dele = edit_batch(pdf, 20, seed=7)
         st2, stats = apply_batch(st, None, spark.createDataFrame(dele))
         assert stats.m_deleted == 10 and stats.m_inserted == 0
-        scratch = resolve_labels(st2.adjacency, st2.choices)
+        scratch = resolve_labels(st2.choices)
         pd.testing.assert_frame_equal(
             _sorted_labels(st2.labels), _sorted_labels(scratch)
         )
@@ -221,7 +221,7 @@ class TestApplyBatch:
         st2, _ = apply_batch(st, ins, None)
         ids = {int(r["id"]) for r in st2.adjacency.select("id").collect()}
         assert new_id in ids
-        scratch = resolve_labels(st2.adjacency, st2.choices)
+        scratch = resolve_labels(st2.choices)
         pd.testing.assert_frame_equal(
             _sorted_labels(st2.labels), _sorted_labels(scratch)
         )
@@ -301,16 +301,23 @@ class TestApplyBatchConcurrency:
         assert _settled(spark) == before
 
     def test_background_error_surfaces(self, spark, base, monkeypatch):
+        # The choice write itself fails, on its worker thread: the plan
+        # (``checkpoint.swap``) is built on the caller's thread.
         st, pdf = base
+        write, failed_on = incremental.materialize, []
 
-        def broken(*args):
+        def broken(df, *args, **kwargs):
+            if df.columns != st.choices.columns:
+                return write(df, *args, **kwargs)
+            failed_on.append(threading.current_thread())
             raise RuntimeError("choice write failed")
 
-        monkeypatch.setattr(incremental, "_swap_choices", broken)
+        monkeypatch.setattr(incremental, "materialize", broken)
         ins, dele = _fixed_batch(pdf)
         before = _settled(spark)
         with pytest.raises(RuntimeError, match="choice write failed"):
             apply_batch(st, spark.createDataFrame(ins), spark.createDataFrame(dele))
+        assert failed_on and failed_on[0] is not threading.current_thread()
         assert _settled(spark) == before
 
 

@@ -77,7 +77,7 @@ class TestDynamicScenarioSpark:
             st, spark.createDataFrame(ins), spark.createDataFrame(dele)
         )
         inc = postprocess(st2.adjacency, st2.labels, 8, n_candidates=5)
-        scratch_labels = resolve_labels(st2.adjacency, st2.choices)
+        scratch_labels = resolve_labels(st2.choices)
         scr = postprocess(st2.adjacency, scratch_labels, 8, n_candidates=5)
         assert (inc.tau1_int, inc.tau2_int) == (scr.tau1_int, scr.tau2_int)
         assert {frozenset(c) for c in inc.cover()} == {

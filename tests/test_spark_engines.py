@@ -83,7 +83,7 @@ class TestResolveEquality:
         adj = adjacency(df)
         ch = draw_choices(adj, T_ITERS, SEED)
         sp = (
-            resolve_labels(adj, ch)
+            resolve_labels(ch)
             .toPandas()
             .sort_values(["id", "t"])
             .reset_index(drop=True)
@@ -106,7 +106,7 @@ class TestResolveEquality:
         df, pdf = small_graph
         adj = adjacency(df)
         ch = draw_choices(adj, T_ITERS, SEED).repartition(8)
-        sp = resolve_labels(adj, ch).toPandas().sort_values(["id", "t"])
+        sp = resolve_labels(ch).toPandas().sort_values(["id", "t"])
         g, _, _, labels = propagate(pdf, T_ITERS, SEED)
         ref = labels_long(g, labels).sort_values(["id", "t"])
         pd.testing.assert_frame_equal(
@@ -119,7 +119,7 @@ class TestResolveEquality:
         df, _ = small_graph
         adj = adjacency(df)
         ch = draw_choices(adj, 4, SEED)
-        lab = resolve_labels(adj, ch)
+        lab = resolve_labels(ch)
         bad = lab.where((F.col("t") == 0) & (F.col("label") != F.col("id")))
         assert bad.count() == 0
 
@@ -127,7 +127,7 @@ class TestResolveEquality:
         df, _ = small_graph
         adj = adjacency(df)
         n_v = adj.count()
-        lab = resolve_labels(adj, draw_choices(adj, 5, SEED))
+        lab = resolve_labels(draw_choices(adj, 5, SEED))
         assert lab.count() == n_v * 6
 
 
